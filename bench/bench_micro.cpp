@@ -8,6 +8,10 @@
 /// Accepts `--json <path>` (see bench_json.h): every run is also recorded
 /// as {name, params, metric, value, units} records, one per reported
 /// metric (real_time plus any rate counters).
+///
+/// Benches whose work runs on other threads (comm worlds, async engines)
+/// use UseRealTime(): their rates are over wall time, not over the
+/// submitting thread's CPU time.
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +51,21 @@ void BM_Crc64(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc64)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// The portable slicing-by-8 kernel, paired with BM_Crc64 in bench_compare:
+// on a CPU with PCLMULQDQ the dispatched checksum must keep its edge, so a
+// silent fallback to this kernel fails the gate.
+void BM_Crc64Sliced(benchmark::State& state) {
+  std::vector<unsigned char> data(static_cast<size_t>(state.range(0)));
+  std::iota(data.begin(), data.end(), 0);
+  for (auto _ : state) {
+    const uint64_t s = crc64_update_sliced(~0ULL, data.data(), data.size());
+    benchmark::DoNotOptimize(~s);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc64Sliced)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 // Bit-at-a-time reference implementation, benchmarked so the table-driven
 // speedup is visible in the same report (small sizes only; it is slow).
@@ -158,7 +177,7 @@ void BM_ThreadCommPingPong(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_ThreadCommPingPong)->Arg(64)->Arg(65536);
+BENCHMARK(BM_ThreadCommPingPong)->Arg(64)->Arg(65536)->UseRealTime();
 
 void BM_Allgather(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -172,7 +191,7 @@ void BM_Allgather(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 10);
 }
-BENCHMARK(BM_Allgather)->Arg(4)->Arg(16);
+BENCHMARK(BM_Allgather)->Arg(4)->Arg(16)->UseRealTime();
 
 // --- zero-copy write pipeline vs the copying path --------------------------
 
@@ -259,7 +278,7 @@ void BM_BlockShipCopy(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           kShipsPerRun * wire_bytes);
 }
-BENCHMARK(BM_BlockShipCopy)->Arg(16)->Arg(48);
+BENCHMARK(BM_BlockShipCopy)->Arg(16)->Arg(48)->UseRealTime();
 
 /// Marshal + ship, zero-copy path: chain-serialize (payloads borrowed) and
 /// sendv gathers once straight into the delivered message.  Each World is
@@ -301,7 +320,7 @@ void BM_BlockShipZeroCopy(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           (kShipsPerRun + 1) * wire_bytes);
 }
-BENCHMARK(BM_BlockShipZeroCopy)->Arg(16)->Arg(48);
+BENCHMARK(BM_BlockShipZeroCopy)->Arg(16)->Arg(48)->UseRealTime();
 
 constexpr int kWritesPerRun = 16;
 
@@ -416,7 +435,10 @@ void BM_BlockShipZeroCopyTraced(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           kShipsPerRun * wire_bytes);
 }
-BENCHMARK(BM_BlockShipZeroCopyTraced)->Arg(16)->Arg(48);
+BENCHMARK(BM_BlockShipZeroCopyTraced)
+    ->Arg(16)
+    ->Arg(48)
+    ->UseRealTime();
 
 /// The bare cost of one disabled span: the floor of the traced/untraced
 /// comparison above (expected: a load, a branch, nanoseconds).
@@ -491,7 +513,8 @@ void BM_RawWriteSync(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           kRawChunks * static_cast<int64_t>(kRawChunk));
 }
-BENCHMARK(BM_RawWriteSync)->Arg(1)->Arg(8)->Arg(32);
+// Real time like its async peers, so the pairs keep matching names.
+BENCHMARK(BM_RawWriteSync)->Arg(1)->Arg(8)->Arg(32)->UseRealTime();
 
 void run_async_raw_write(benchmark::State& state, vfs::AsyncOptions opts,
                          const char* name) {
@@ -512,7 +535,7 @@ void run_async_raw_write(benchmark::State& state, vfs::AsyncOptions opts,
 void BM_RawWriteAsync(benchmark::State& state) {
   run_async_raw_write(state, vfs::AsyncOptions{}, "async.bin");
 }
-BENCHMARK(BM_RawWriteAsync)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_RawWriteAsync)->Arg(1)->Arg(8)->Arg(32)->UseRealTime();
 
 /// Async rings, coalescing off: isolates the ring's own value from the
 /// staging blocks' (one submission per logical write).
@@ -521,7 +544,11 @@ void BM_RawWriteAsyncUncoalesced(benchmark::State& state) {
   o.coalesce_bytes = 0;
   run_async_raw_write(state, o, "async_unc.bin");
 }
-BENCHMARK(BM_RawWriteAsyncUncoalesced)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_RawWriteAsyncUncoalesced)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime();
 
 /// Buffered vs O_DIRECT pair: identical aligned bulk stream (8 x 256 KiB)
 /// through the async backend, page cache in vs out of the path.  Run
@@ -547,12 +574,12 @@ void run_bulk_write(benchmark::State& state, bool direct) {
 void BM_RawWriteBulkBuffered(benchmark::State& state) {
   run_bulk_write(state, /*direct=*/false);
 }
-BENCHMARK(BM_RawWriteBulkBuffered)->Arg(8);
+BENCHMARK(BM_RawWriteBulkBuffered)->Arg(8)->UseRealTime();
 
 void BM_RawWriteBulkDirect(benchmark::State& state) {
   run_bulk_write(state, /*direct=*/true);
 }
-BENCHMARK(BM_RawWriteBulkDirect)->Arg(8);
+BENCHMARK(BM_RawWriteBulkDirect)->Arg(8)->UseRealTime();
 
 /// Tees every finished run into the JSON emitter (one record per reported
 /// metric) and then defers to the normal console output.

@@ -1,5 +1,9 @@
 #include "comm/thread_comm.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <deque>
@@ -55,6 +59,42 @@ bool matches(const Envelope& e, uint64_t comm_id, int source, int tag) {
 
 }  // namespace
 }  // namespace detail
+
+namespace {
+
+/// Moves the calling thread onto the `slot`-th CPU (modulo their count) of
+/// its affinity mask, then restores the mask, so the scheduler stays free
+/// to migrate it later.  Threads started together otherwise begin on the
+/// creator's CPU, and where idle vCPUs are invisible to wake-up placement
+/// (halted vCPUs in a VM) nothing moves them apart.  No-op where thread
+/// affinity is unavailable.
+void start_on_cpu_slot(int slot) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n <= 1) return;
+  int skip = slot % n;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    if (skip > 0) {
+      --skip;
+      continue;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    // Pinning migrates the thread now; restoring the mask leaves it there.
+    if (sched_setaffinity(0, sizeof one, &one) == 0)
+      sched_setaffinity(0, sizeof allowed, &allowed);
+    return;
+  }
+#else
+  (void)slot;
+#endif
+}
+
+}  // namespace
 
 using detail::Envelope;
 using detail::Mailbox;
@@ -256,6 +296,7 @@ void World::run(int n, const Body& body) {
 
   for (int r = 0; r < n; ++r) {
     threads.emplace_back([&, r] {
+      start_on_cpu_slot(r);  // like an MPI launcher's core binding, unkept
       try {
         ThreadComm comm(state, /*comm_id=*/0, members, r);
         body(comm);

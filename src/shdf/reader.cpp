@@ -111,19 +111,38 @@ const DatasetInfo& Reader::info(size_t index) const {
   return infos_[index];
 }
 
-std::vector<unsigned char> Reader::read_raw(const std::string& name) const {
-  const DatasetInfo& i = info(name);
+void Reader::check_extent(const DatasetInfo& i) const {
   const uint64_t fsize = file_->size();
   if (i.data_offset > fsize || i.stored_bytes > fsize - i.data_offset)
-    throw FormatError("dataset '" + name + "' extends past end of " + path_);
-  std::vector<unsigned char> raw(static_cast<size_t>(i.stored_bytes));
+    throw FormatError("dataset '" + i.def.name + "' extends past end of " +
+                      path_);
+  if (i.def.codec == Codec::kNone && i.stored_bytes != i.data_bytes)
+    throw FormatError("uncompressed payload size mismatch");
+}
+
+void Reader::read_into(const DatasetInfo& i, void* dst) const {
+  const auto n = static_cast<size_t>(i.data_bytes);
   file_->seek(i.data_offset);
-  file_->read(raw.data(), raw.size());
-  auto data = decode(i.def.codec, raw.data(), raw.size(), i.data_bytes);
-  if (crc64(data.data(), data.size()) != i.checksum)
-    throw FormatError("checksum mismatch reading dataset '" + name +
+  if (i.def.codec == Codec::kNone) {
+    file_->read(dst, n);
+  } else {
+    std::vector<unsigned char> raw(static_cast<size_t>(i.stored_bytes));
+    file_->read(raw.data(), raw.size());
+    const auto data = decode(i.def.codec, raw.data(), raw.size(), n);
+    // memcpy's arguments are declared nonnull even for zero sizes.
+    if (n > 0) std::memcpy(dst, data.data(), n);
+  }
+  if (crc64(dst, n) != i.checksum)
+    throw FormatError("checksum mismatch reading dataset '" + i.def.name +
                       "' from " + path_);
-  return data;
+}
+
+std::vector<unsigned char> Reader::read_raw(const std::string& name) const {
+  const DatasetInfo& i = info(name);
+  check_extent(i);
+  std::vector<unsigned char> out(static_cast<size_t>(i.data_bytes));
+  read_into(i, out.data());
+  return out;
 }
 
 std::optional<AttrValue> Reader::attribute(const std::string& dataset,

@@ -37,11 +37,13 @@ class Reader {
   [[nodiscard]] const DatasetInfo& info(const std::string& name) const;
   [[nodiscard]] const DatasetInfo& info(size_t index) const;
 
-  /// Reads and checksum-verifies the raw payload.
+  /// Reads and checksum-verifies the decoded payload bytes.
   [[nodiscard]] std::vector<unsigned char> read_raw(
       const std::string& name) const;
 
   /// Typed read; throws FormatError if the stored element type mismatches T.
+  /// The payload is checksum-verified in the returned vector; an
+  /// uncompressed one is read straight into it, with no staging buffer.
   template <typename T>
   [[nodiscard]] std::vector<T> read(const std::string& name) const {
     const DatasetInfo& i = info(name);
@@ -49,11 +51,13 @@ class Reader {
       throw FormatError("dataset '" + name + "' has element type " +
                         std::string(type_name(i.def.type)) + ", not " +
                         std::string(type_name(TypeTag<T>::value)));
-    auto raw = read_raw(name);
-    std::vector<T> out(raw.size() / sizeof(T));
-    // Zero-element datasets are legal; memcpy's arguments are declared
-    // nonnull even for zero sizes.
-    if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+    if (i.data_bytes % sizeof(T) != 0)
+      throw FormatError("dataset '" + name + "' size " +
+                        std::to_string(i.data_bytes) +
+                        " is not a whole number of elements");
+    check_extent(i);
+    std::vector<T> out(static_cast<size_t>(i.data_bytes / sizeof(T)));
+    read_into(i, out.data());
     return out;
   }
 
@@ -65,6 +69,15 @@ class Reader {
   /// Index of `name` in infos_, or SIZE_MAX.  Linear scan or binary search
   /// depending on the directory kind.
   [[nodiscard]] size_t find(const std::string& name) const;
+
+  /// Throws FormatError unless `i`'s stored payload lies inside the file
+  /// and, for Codec::kNone, is exactly `data_bytes` long.
+  void check_extent(const DatasetInfo& i) const;
+
+  /// Reads `i`'s decoded payload into `dst` (`data_bytes` of room, extent
+  /// already checked) and verifies its checksum there.  An uncompressed
+  /// payload goes straight from the file into `dst`.
+  void read_into(const DatasetInfo& i, void* dst) const;
 
   mutable std::unique_ptr<vfs::File> file_;
   std::string path_;

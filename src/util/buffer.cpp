@@ -109,7 +109,8 @@ void pool_release(BufferPoolState& s, std::vector<unsigned char> bytes) {
     ++s.discards;
     return;  // `bytes` (a parameter) frees after `lock` releases.
   }
-  bytes.clear();
+  // No clear(): the vector keeps its size, so the next acquire() of the
+  // same size hands it out without zero-filling it again.
   s.free_lists[b].push_back(std::move(bytes));
   ++s.returns;
 }
@@ -150,7 +151,7 @@ std::vector<unsigned char> BufferPool::acquire(size_t n) {
       std::vector<unsigned char> v = std::move(list.back());
       list.pop_back();
       ++state_->hits;
-      v.resize(n);
+      v.resize(n);  // shrinking is free; only growth is zero-filled
       return v;
     }
     ++state_->misses;

@@ -248,7 +248,10 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// A mutable vector of exactly `n` bytes, recycled when possible.
-  /// Contents are unspecified (hot paths overwrite every byte).
+  /// Contents are unspecified: recycled storage is handed out without
+  /// zeroing and still holds its previous user's bytes.  Every caller
+  /// overwrites what it reads (gather_into writes all `n` bytes, ByteWriter
+  /// discards the contents).
   [[nodiscard]] std::vector<unsigned char> acquire(size_t n);
 
   /// Freezes `bytes` into an immutable SharedBuffer; the storage returns to

@@ -8,9 +8,12 @@
 
 namespace roc {
 
-/// Streaming CRC-64 accumulator.  `update` runs slicing-by-8 (eight table
-/// lookups per 8-byte word); `crc64_update_bitwise` below is the reference
-/// implementation it is tested against.
+/// Streaming CRC-64 accumulator (CRC-64/XZ: reflected ECMA-182, initial
+/// value and final XOR all ones).  `update` dispatches once per process:
+/// on x86-64 CPUs with PCLMULQDQ, inputs of 128 bytes and more are folded
+/// four 16-byte lanes at a time with carry-less multiplies; everything else
+/// runs `crc64_update_sliced`.  `crc64_update_bitwise` is the reference
+/// both are tested against.
 class Crc64 {
  public:
   /// Feeds `n` bytes into the running checksum.
@@ -31,8 +34,13 @@ class Crc64 {
 /// One-shot convenience wrapper.
 uint64_t crc64(const void* data, size_t n);
 
+/// Portable slicing-by-8 CRC step (eight table lookups per 8-byte word):
+/// the fallback kernel, exposed so it stays tested on CPUs that take the
+/// folding path.  `state` is the raw accumulator, as for the bitwise step.
+uint64_t crc64_update_sliced(uint64_t state, const void* data, size_t n);
+
 /// Reference bit-at-a-time CRC step (no tables).  Slow; exists so tests can
-/// verify the sliced implementation against first principles.  `state` is
+/// verify the fast kernels against first principles.  `state` is
 /// the raw (pre-inversion) accumulator: seed with ~0ULL and invert the
 /// result for a full checksum.
 uint64_t crc64_update_bitwise(uint64_t state, const void* data, size_t n);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 
@@ -35,6 +39,23 @@ TEST(World, RunsEveryRankExactlyOnce) {
   EXPECT_EQ(count.load(), 8);
   EXPECT_EQ(rank_mask.load(), 0xFFu);
 }
+
+#if defined(__linux__)
+TEST(World, RanksKeepTheProcessAffinityMask) {
+  // Ranks start spread over the CPUs, but the binding is not kept: every
+  // rank may still run on any CPU the process may use.
+  cpu_set_t process;
+  ASSERT_EQ(sched_getaffinity(0, sizeof process, &process), 0);
+  std::atomic<int> mismatches{0};
+  World::run(6, [&](Comm&) {
+    cpu_set_t mine;
+    if (sched_getaffinity(0, sizeof mine, &mine) != 0 ||
+        !CPU_EQUAL(&mine, &process))
+      ++mismatches;
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+#endif
 
 TEST(World, PropagatesFirstException) {
   EXPECT_THROW(World::run(4,

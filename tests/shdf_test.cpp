@@ -7,6 +7,7 @@
 
 #include "shdf/reader.h"
 #include "shdf/writer.h"
+#include "util/crc64.h"
 #include "util/rng.h"
 #include "vfs/vfs.h"
 
@@ -164,25 +165,72 @@ TEST_P(ShdfTest, AppendRejectsDuplicateOfExisting) {
   EXPECT_THROW(w.add("x", std::vector<double>{2}), InvalidArgument);
 }
 
+/// Flips one payload byte of dataset `name` in `path`.
+void flip_payload_byte(vfs::FileSystem& fs, const std::string& path,
+                       const std::string& name, uint64_t at) {
+  uint64_t off;
+  {
+    Reader probe(fs, path);
+    off = probe.info(name).data_offset;
+  }
+  auto f = fs.open(path, vfs::OpenMode::kReadWrite);
+  unsigned char b;
+  f->seek(off + at);
+  f->read(&b, 1);
+  b ^= 0x01;
+  f->seek(off + at);
+  f->write(&b, 1);
+}
+
+/// Expects `fn` to throw FormatError whose message contains `what`.
+template <typename Fn>
+void expect_format_error(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no FormatError (expected '" << what << "')";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_P(ShdfTest, ChecksumDetectsPayloadCorruption) {
+  std::vector<double> v(300);
+  for (size_t i = 0; i < v.size(); ++i) v[i] = 0.5 * static_cast<double>(i);
   {
     Writer w(fs_, "corrupt.shdf", GetParam());
-    w.add("x", std::vector<double>{1.0, 2.0, 3.0, 4.0});
+    w.add("x", v);
+    w.add("y", v);
   }
-  // Flip one byte inside the payload.
-  {
-    Reader probe(fs_, "corrupt.shdf");
-    const auto off = probe.info("x").data_offset;
-    auto f = fs_.open("corrupt.shdf", vfs::OpenMode::kReadWrite);
-    f->seek(off + 5);
-    unsigned char b;
-    f->read(&b, 1);
-    b ^= 0xFF;
-    f->seek(off + 5);
-    f->write(&b, 1);
-  }
+  flip_payload_byte(fs_, "corrupt.shdf", "x", 1000);
   Reader r(fs_, "corrupt.shdf");
   EXPECT_THROW((void)r.read_raw("x"), FormatError);
+  // The typed read verifies in place and fails the same way.
+  expect_format_error([&] { (void)r.read<double>("x"); },
+                      "checksum mismatch reading dataset 'x'");
+  EXPECT_EQ(r.read<double>("y"), v);  // the neighbour is intact
+}
+
+TEST_P(ShdfTest, TypedReadOfTruncatedPayloadThrows) {
+  const std::vector<double> v(1000, 2.5);
+  {
+    Writer w(fs_, "cut.shdf", GetParam());
+    w.add("x", v);
+  }
+  Reader r(fs_, "cut.shdf");
+  // Cut the file in the middle of the payload under the open reader (the
+  // in-memory file system shares one byte store between handles).
+  const uint64_t keep = r.info("x").data_offset + 100;
+  std::vector<unsigned char> prefix(static_cast<size_t>(keep));
+  {
+    auto in = fs_.open("cut.shdf", vfs::OpenMode::kRead);
+    in->read(prefix.data(), prefix.size());
+  }
+  fs_.open("cut.shdf", vfs::OpenMode::kTruncate)
+      ->write(prefix.data(), prefix.size());
+  expect_format_error([&] { (void)r.read<double>("x"); },
+                      "extends past end");
+  expect_format_error([&] { (void)r.read_raw("x"); }, "extends past end");
 }
 
 TEST_P(ShdfTest, ImplicitCloseOnDestruction) {
@@ -322,6 +370,7 @@ TEST(Codec, ChecksumStillDetectsCorruptionUnderCompression) {
   }
   Reader r(fs, "c.shdf");
   EXPECT_THROW((void)r.read_raw("x"), FormatError);
+  EXPECT_THROW((void)r.read<double>("x"), FormatError);
 }
 
 TEST(Codec, WorksWithAppendAndBothDirectoryKinds) {
@@ -347,6 +396,51 @@ TEST(Codec, WorksWithAppendAndBothDirectoryKinds) {
     Reader r(fs, "a.shdf");
     EXPECT_EQ(r.read<double>("z0"), zeros);
     EXPECT_EQ(r.read<double>("z1"), zeros);
+  }
+}
+
+TEST(Shdf, OnDiskBytesArePinned) {
+  // The bytes a writer produces are the format.  This pins them: the whole
+  // file's CRC-64, computed with the bitwise reference, for both directory
+  // kinds, so a change to the checksum kernels or the writer cannot alter
+  // files silently.  A deliberate format change updates the constants.
+  const struct {
+    DirectoryKind kind;
+    uint64_t size;
+    uint64_t crc;
+  } golden[] = {{DirectoryKind::kLinear, 7857, 0x0D3AF46265E275DFULL},
+                {DirectoryKind::kIndexed, 7857, 0x3D5EBA9D8C37DF91ULL}};
+  std::vector<double> d(777);
+  for (size_t i = 0; i < d.size(); ++i)
+    d[i] = 0.25 * static_cast<double>(i) - 3.0;
+  std::vector<int32_t> c(333);
+  for (size_t i = 0; i < c.size(); ++i)
+    c[i] = static_cast<int32_t>(i * 7919 % 1000);
+  std::vector<double> z(2048, 0.0);
+  z[100] = 1.5;
+  for (const auto& g : golden) {
+    vfs::MemFileSystem fs;
+    {
+      Writer w(fs, "g.shdf", g.kind);
+      w.add("fluid/coords", d);
+      w.add("fluid/conn", c);
+      DatasetDef def;
+      def.name = "fluid/rle";
+      def.type = DataType::kFloat64;
+      def.codec = Codec::kZeroRle;
+      def.dims = {z.size()};
+      w.add_dataset(def, z.data());
+    }
+    auto f = fs.open("g.shdf", vfs::OpenMode::kRead);
+    std::vector<unsigned char> bytes(static_cast<size_t>(f->size()));
+    f->read(bytes.data(), bytes.size());
+    EXPECT_EQ(bytes.size(), g.size);
+    EXPECT_EQ(~crc64_update_bitwise(~0ULL, bytes.data(), bytes.size()),
+              g.crc);
+    Reader r(fs, "g.shdf");
+    EXPECT_EQ(r.read<double>("fluid/coords"), d);
+    EXPECT_EQ(r.read<int32_t>("fluid/conn"), c);
+    EXPECT_EQ(r.read<double>("fluid/rle"), z);
   }
 }
 

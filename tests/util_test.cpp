@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -137,6 +138,77 @@ TEST(Crc64, SlicedMatchesBitwiseReference) {
   }
 }
 
+TEST(Crc64, KnownAnswer) {
+  // CRC-64/XZ check value: reflected ECMA-182, all-ones init and xorout.
+  EXPECT_EQ(crc64("123456789", 9), 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(~crc64_update_sliced(~0ULL, "123456789", 9),
+            0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(~crc64_update_bitwise(~0ULL, "123456789", 9),
+            0x995DC9BBDF1939FAULL);
+}
+
+std::vector<unsigned char> random_bytes(Rng& rng, size_t n) {
+  std::vector<unsigned char> data(n);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.next_u64());
+  return data;
+}
+
+TEST(Crc64, DispatchedMatchesSlicedAndBitwiseOnEveryShortLength) {
+  // Every length through the folding threshold, the 64-byte lane loop, the
+  // 16-byte chunk loop and the tail.
+  Rng rng(0x5eed64u);
+  const auto data = random_bytes(rng, 1024);
+  for (size_t n = 0; n <= data.size(); ++n) {
+    const uint64_t ref = crc64_update_bitwise(~0ULL, data.data(), n);
+    ASSERT_EQ(crc64_update_sliced(~0ULL, data.data(), n), ref) << n;
+    ASSERT_EQ(crc64(data.data(), n), ~ref) << n;
+  }
+}
+
+TEST(Crc64, DispatchedMatchesSlicedOnLongLengths) {
+  Rng rng(0xb16c4cu);
+  const auto data = random_bytes(rng, size_t{1} << 20);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t n = static_cast<size_t>(rng.next_below(data.size() + 1));
+    ASSERT_EQ(crc64(data.data(), n),
+              ~crc64_update_sliced(~0ULL, data.data(), n))
+        << "length " << n;
+  }
+  // The full MiB against the reference too.
+  EXPECT_EQ(crc64(data.data(), data.size()),
+            ~crc64_update_bitwise(~0ULL, data.data(), data.size()));
+}
+
+TEST(Crc64, UnalignedStartsSplitsAndSeeds) {
+  Rng rng(0xa11e9u);
+  const auto data = random_bytes(rng, 8192);
+  for (size_t off = 0; off < 16; ++off) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const size_t n = 1 + static_cast<size_t>(
+                               rng.next_below(data.size() - off - 1));
+      const unsigned char* p = data.data() + off;
+      // A random cut; a cut inside a 64-byte fold block after the first
+      // update was already folded (128 + 0..63); and a short sliced first
+      // update.  The second update starts from an arbitrary running state.
+      for (const size_t cut :
+           {static_cast<size_t>(rng.next_below(n + 1)),
+            std::min<size_t>(n, 128 + static_cast<size_t>(
+                                          rng.next_below(64))),
+            std::min<size_t>(n, 37)}) {
+        Crc64 c;
+        c.update(p, cut);
+        c.update(p + cut, n - cut);
+        ASSERT_EQ(c.value(), ~crc64_update_bitwise(~0ULL, p, n))
+            << "offset " << off << " length " << n << " cut " << cut;
+      }
+      // Seeds other than ~0 on the portable kernel.
+      const uint64_t seed = rng.next_u64();
+      ASSERT_EQ(crc64_update_sliced(seed, p, n),
+                crc64_update_bitwise(seed, p, n));
+    }
+  }
+}
+
 TEST(Serialize, PutRawArrayMatchesElementwisePut) {
   const std::vector<double> values = {0.0, -1.5, 3.25e300, 1e-300};
   ByteWriter raw;
@@ -210,6 +282,27 @@ TEST(Buffer, PoolRecyclesStorage) {
   EXPECT_EQ(w.data(), storage);
   EXPECT_EQ(pool.stats().hits, 1u);
   (void)pool.seal(std::move(w));
+}
+
+TEST(Buffer, PoolHandsOutRecycledStorageWithoutZeroing) {
+  // acquire()'s contents are unspecified: recycled storage keeps its
+  // previous bytes instead of being zero-filled on every cycle.
+  BufferPool pool;
+  auto v = pool.acquire(4096);
+  std::fill(v.begin(), v.end(), 0xAB);
+  const unsigned char* storage = v.data();
+  (void)pool.seal(std::move(v));  // dropped at once: storage recycled
+  auto w = pool.acquire(4096);
+  ASSERT_EQ(w.data(), storage);
+  ASSERT_EQ(w.size(), 4096u);
+  EXPECT_EQ(w[0], 0xAB);
+  EXPECT_EQ(w[4095], 0xAB);
+  // A smaller request from the same size class reuses the storage too.
+  (void)pool.seal(std::move(w));
+  auto x = pool.acquire(3000);
+  EXPECT_EQ(x.data(), storage);
+  EXPECT_EQ(x.size(), 3000u);
+  (void)pool.seal(std::move(x));
 }
 
 TEST(Buffer, PoolSealedBufferSurvivesPoolDestruction) {

@@ -61,6 +61,11 @@ PAIRS = (
     ("BM_RawWriteSync", "BM_RawWriteAsync"),
     ("BM_RawWriteSync", "BM_RawWriteAsyncUncoalesced"),
     ("BM_RawWriteBulkBuffered", "BM_RawWriteBulkDirect"),
+    # Checksum kernel: portable slicing-by-8 vs the dispatched kernel.  On
+    # x86 runners a silent fallback to slicing collapses this edge.
+    ("BM_Crc64Sliced", "BM_Crc64"),
+    # Recycled pool storage (not zero-filled again) vs fresh allocation.
+    ("BM_FreshAllocCycle", "BM_BufferPoolCycle"),
 )
 
 # Emitter-file counterpart of PAIRS: (record name, param, legacy value,
