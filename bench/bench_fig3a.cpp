@@ -65,8 +65,6 @@ struct Point {
   int compute_procs;
   double throughput_mb_s;
   int total_procs;
-  /// Summed over all server ranks (Rocpanda only; zeros for Rochdf).
-  rocpanda::ServerStats servers;
 };
 
 /// One Rocpanda run: returns apparent aggregate throughput (MB/s).
@@ -81,8 +79,6 @@ Point run_rocpanda(int compute_procs) {
   auto fs = std::make_shared<sim::SimFileSystem>(sim);
 
   std::vector<double> visible(static_cast<size_t>(world_size), 0);
-  std::vector<rocpanda::ServerStats> server_stats(
-      static_cast<size_t>(nodes));
   for (int r = 0; r < world_size; ++r) {
     sim.add_process([&, world, fs, nodes](sim::ProcContext& ctx) {
       auto comm = world->attach();
@@ -91,10 +87,8 @@ Point run_rocpanda(int compute_procs) {
       auto local = comm->split(layout.is_server(comm->rank()) ? 1 : 0,
                                comm->rank());
       if (layout.is_server(comm->rank())) {
-        server_stats[static_cast<size_t>(
-            layout.server_index(comm->rank()))] =
-            rocpanda::run_server(*comm, *local, env, *fs, layout,
-                                 rocpanda::ServerOptions{});
+        (void)rocpanda::run_server(*comm, *local, env, *fs, layout,
+                                   rocpanda::ServerOptions{});
         return;
       }
       roccom::Roccom com;
@@ -116,17 +110,7 @@ Point run_rocpanda(int compute_procs) {
   const double max_visible =
       *std::max_element(visible.begin(), visible.end());
   const double total_bytes = kBytesPerProc * compute_procs;
-  Point point{compute_procs, total_bytes / max_visible / 1e6, world_size,
-              {}};
-  for (const auto& s : server_stats) {
-    point.servers.async_submissions += s.async_submissions;
-    point.servers.async_coalesced_writes += s.async_coalesced_writes;
-    point.servers.async_stall_waits += s.async_stall_waits;
-    point.servers.async_queue_depth_peak =
-        std::max(point.servers.async_queue_depth_peak,
-                 s.async_queue_depth_peak);
-  }
-  return point;
+  return Point{compute_procs, total_bytes / max_visible / 1e6, world_size};
 }
 
 /// One Rochdf run (no servers; every processor computes and writes).
@@ -157,7 +141,7 @@ Point run_rochdf(int compute_procs) {
   const double max_visible =
       *std::max_element(visible.begin(), visible.end());
   return Point{compute_procs, kBytesPerProc * compute_procs / max_visible / 1e6,
-               compute_procs, {}};
+               compute_procs};
 }
 
 }  // namespace
@@ -184,12 +168,7 @@ int main(int argc, char** argv) {
   for (int n : series) {
     std::fprintf(stderr, "  running %d compute procs...\n", n);
     const Point panda = run_rocpanda(n);
-    const bench::AsyncCounters async{
-        panda.servers.async_submissions,
-        panda.servers.async_coalesced_writes,
-        panda.servers.async_stall_waits,
-        panda.servers.async_queue_depth_peak};
-    (void)trace.collect("rocpanda/" + std::to_string(n), &json, &async);
+    (void)trace.collect("rocpanda/" + std::to_string(n), &json);
     const Point hdf = run_rochdf(n);
     (void)trace.collect("rochdf/" + std::to_string(n), &json);
     if (n == 480) panda_at_480 = panda.throughput_mb_s;

@@ -9,17 +9,14 @@
 /// as {name, params, metric, value, units} records, one per reported
 /// metric (real_time plus any rate counters).
 ///
-/// Benches whose work runs on other threads (comm worlds, async engines)
-/// use UseRealTime(): their rates are over wall time, not over the
+/// Benches whose work runs on other threads (comm worlds) use
+/// UseRealTime(): their rates are over wall time, not over the
 /// submitting thread's CPU time.
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -35,7 +32,6 @@
 #include "util/buffer.h"
 #include "util/crc64.h"
 #include "util/serialize.h"
-#include "vfs/async.h"
 #include "vfs/vfs.h"
 
 namespace {
@@ -477,109 +473,6 @@ void BM_FreshAllocCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FreshAllocCycle)->Arg(1 << 16)->Arg(1 << 22);
-
-// --- raw-write band: sync vs async rings, buffered vs O_DIRECT -------------
-
-// One iteration writes the same 2 MiB snapshot stream — 256 appends of
-// 8 KiB, the small-dataset shape shdf produces — then closes the file
-// (close settles the async ring, so both sides are measured to the same
-// completion point).  The Arg is the ring's queue depth; the sync side
-// ignores it but keeps the suffix so bench_compare.py can pair the runs.
-
-constexpr size_t kRawChunk = 8 * 1024;
-constexpr int kRawChunks = 256;
-
-/// Disk-backed root shared by the raw-write benches ($TMPDIR, real files:
-/// the point is syscall and kernel-path cost, which MemFileSystem hides).
-vfs::PosixFileSystem& raw_fs() {
-  static vfs::PosixFileSystem fs(
-      (std::filesystem::temp_directory_path() /
-       ("rocpio_bench_raw_" + std::to_string(::getpid())))
-          .string());
-  return fs;
-}
-
-void raw_write_stream(vfs::File& f, const std::vector<unsigned char>& chunk) {
-  for (int i = 0; i < kRawChunks; ++i) f.write(chunk.data(), chunk.size());
-}
-
-/// Legacy path: the synchronous PosixFile (FILE*-buffered fwrite).
-void BM_RawWriteSync(benchmark::State& state) {
-  const std::vector<unsigned char> chunk(kRawChunk, 0x5A);
-  for (auto _ : state) {
-    auto f = raw_fs().open("sync.bin", vfs::OpenMode::kTruncate);
-    raw_write_stream(*f, chunk);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRawChunks * static_cast<int64_t>(kRawChunk));
-}
-// Real time like its async peers, so the pairs keep matching names.
-BENCHMARK(BM_RawWriteSync)->Arg(1)->Arg(8)->Arg(32)->UseRealTime();
-
-void run_async_raw_write(benchmark::State& state, vfs::AsyncOptions opts,
-                         const char* name) {
-  opts.queue_depth = static_cast<unsigned>(state.range(0));
-  vfs::AsyncFileSystem fs(raw_fs(), opts);
-  const std::vector<unsigned char> chunk(kRawChunk, 0x5A);
-  for (auto _ : state) {
-    auto f = fs.open(name, vfs::OpenMode::kTruncate);
-    raw_write_stream(*f, chunk);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRawChunks * static_cast<int64_t>(kRawChunk));
-  state.counters["submissions"] = static_cast<double>(fs.stats().submissions);
-}
-
-/// Async rings with coalescing: 256 logical writes collapse into ~8
-/// staging-block submissions per iteration.
-void BM_RawWriteAsync(benchmark::State& state) {
-  run_async_raw_write(state, vfs::AsyncOptions{}, "async.bin");
-}
-BENCHMARK(BM_RawWriteAsync)->Arg(1)->Arg(8)->Arg(32)->UseRealTime();
-
-/// Async rings, coalescing off: isolates the ring's own value from the
-/// staging blocks' (one submission per logical write).
-void BM_RawWriteAsyncUncoalesced(benchmark::State& state) {
-  vfs::AsyncOptions o;
-  o.coalesce_bytes = 0;
-  run_async_raw_write(state, o, "async_unc.bin");
-}
-BENCHMARK(BM_RawWriteAsyncUncoalesced)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
-    ->UseRealTime();
-
-/// Buffered vs O_DIRECT pair: identical aligned bulk stream (8 x 256 KiB)
-/// through the async backend, page cache in vs out of the path.  Run
-/// BM_RawWriteDirect only where the filesystem accepts O_DIRECT (the
-/// direct_writes counter in the JSON confirms it did).
-void run_bulk_write(benchmark::State& state, bool direct) {
-  vfs::AsyncOptions opts;
-  opts.direct_io = direct;
-  opts.queue_depth = static_cast<unsigned>(state.range(0));
-  vfs::AsyncFileSystem fs(raw_fs(), opts);
-  const std::vector<unsigned char> chunk(256 * 1024, 0x3C);
-  const char* name = direct ? "bulk_direct.bin" : "bulk_buffered.bin";
-  for (auto _ : state) {
-    auto f = fs.open(name, vfs::OpenMode::kTruncate);
-    for (int i = 0; i < 8; ++i) f->write(chunk.data(), chunk.size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8 *
-                          static_cast<int64_t>(chunk.size()));
-  state.counters["direct_writes"] =
-      static_cast<double>(fs.stats().direct_writes);
-}
-
-void BM_RawWriteBulkBuffered(benchmark::State& state) {
-  run_bulk_write(state, /*direct=*/false);
-}
-BENCHMARK(BM_RawWriteBulkBuffered)->Arg(8)->UseRealTime();
-
-void BM_RawWriteBulkDirect(benchmark::State& state) {
-  run_bulk_write(state, /*direct=*/true);
-}
-BENCHMARK(BM_RawWriteBulkDirect)->Arg(8)->UseRealTime();
 
 /// Tees every finished run into the JSON emitter (one record per reported
 /// metric) and then defers to the normal console output.

@@ -34,17 +34,6 @@
 
 namespace bench {
 
-/// Per-run async-backend counters (the PR 7 vfs layer), folded into the
-/// snapshot_timeline records so Fig.-3 data carries the backend's story
-/// (how many submissions, how hard the ring pushed back) next to the
-/// perceived/hidden split.
-struct AsyncCounters {
-  uint64_t submissions = 0;
-  uint64_t coalesced_writes = 0;
-  uint64_t stall_waits = 0;
-  int64_t queue_depth_peak = 0;
-};
-
 /// Consumes `--trace <path>` from argc/argv (like JsonEmitter's `--json`).
 /// Construct before the first measured run; destroy (scope exit) to write
 /// the file.
@@ -92,8 +81,7 @@ class TraceSession {
   /// (schema above).  Call once per measured configuration, right after
   /// its run completes.
   std::vector<roc::telemetry::SnapshotTimeline> collect(
-      const std::string& label, JsonEmitter* json = nullptr,
-      const AsyncCounters* async = nullptr) {
+      const std::string& label, JsonEmitter* json = nullptr) {
     if (!enabled()) return {};
     roc::telemetry::Trace trace = roc::telemetry::collect_trace();
     if (trace.dropped > 0)
@@ -116,16 +104,6 @@ class TraceSession {
                      t.raw_write_s, "s");
         json->record("snapshot_timeline", params, "wall_time",
                      t.wall_s, "s");
-        if (async != nullptr) {
-          json->record("snapshot_timeline", params, "async_submissions",
-                       static_cast<double>(async->submissions), "count");
-          json->record("snapshot_timeline", params, "async_coalesced_writes",
-                       static_cast<double>(async->coalesced_writes), "count");
-          json->record("snapshot_timeline", params, "async_stall_waits",
-                       static_cast<double>(async->stall_waits), "count");
-          json->record("snapshot_timeline", params, "async_queue_depth_peak",
-                       static_cast<double>(async->queue_depth_peak), "count");
-        }
       }
     }
     batches_.emplace_back(label, std::move(trace));

@@ -97,8 +97,9 @@ void Session::check_lock_order_locked(Tid t, const void* m, const char* name,
 
   const std::string to_name = name != nullptr ? name : "?";
   for (const HeldLock& h : ts.held) {
-    if (h.m == m) continue;  // recursive acquisition is the lockdebug
-                             // checker's department
+    if (h.m == m) continue;  // re-locking a held mutex self-deadlocks in
+                             // m_.lock() before reaching this hook, so a
+                             // self-edge never forms here (TSan reports it)
     auto [it, fresh] = edges_[h.m].try_emplace(m);
     if (fresh) it->second.stack = stack;
     if (h.name != to_name)  // distinct objects sharing a name: not an order

@@ -94,15 +94,14 @@ ScenarioResult run_trochdf(Session& session, Explorer& explorer) {
       });
 }
 
-ScenarioResult run_active_buffering_impl(Session& session, Explorer& explorer,
-                                         bool async_io) {
+ScenarioResult run_active_buffering(Session& session, Explorer& explorer) {
   return drive(
       session, explorer, /*cpus=*/3, quiet_platform(3),
-      [async_io](sim::Simulation& sim) {
+      [](sim::Simulation& sim) {
         auto world = std::make_shared<sim::SimWorld>(sim, 3);
         auto fs = std::make_shared<sim::SimFileSystem>(sim);
         for (int r = 0; r < 3; ++r) {
-          sim.add_process([world, fs, async_io](sim::ProcContext& ctx) {
+          sim.add_process([world, fs](sim::ProcContext& ctx) {
             auto comm = world->attach();
             sim::SimEnv env(ctx.sim());
             const rocpanda::Layout layout(comm->size(), 1);
@@ -113,10 +112,6 @@ ScenarioResult run_active_buffering_impl(Session& session, Explorer& explorer,
               // Small enough that snapshots overflow to disk mid-stream:
               // the active-buffering spill path.
               opts.buffer_capacity = 20000;
-              // async_drain variant: the drain runs through the async vfs
-              // decorator, which pins to its deterministic sync shim on
-              // the sim substrate — the schedules must stay identical.
-              opts.async_io = async_io;
               (void)rocpanda::run_server(*comm, *local, env, *fs, layout,
                                          opts);
               return;
@@ -139,16 +134,6 @@ ScenarioResult run_active_buffering_impl(Session& session, Explorer& explorer,
           });
         }
       });
-}
-
-ScenarioResult run_active_buffering(Session& session, Explorer& explorer) {
-  return run_active_buffering_impl(session, explorer, /*async_io=*/false);
-}
-
-/// Same workload with the server's drain routed through the async vfs
-/// backend: proves the decorator changes nothing the checker can observe.
-ScenarioResult run_async_drain(Session& session, Explorer& explorer) {
-  return run_active_buffering_impl(session, explorer, /*async_io=*/true);
 }
 
 ScenarioResult run_fig3a(Session& session, Explorer& explorer) {
@@ -234,7 +219,7 @@ ScenarioResult run_racy(Session& session, Explorer& explorer) {
 }  // namespace
 
 std::vector<std::string> scenario_names() {
-  return {"trochdf", "active_buffering", "async_drain", "fig3a", "racy"};
+  return {"trochdf", "active_buffering", "fig3a", "racy"};
 }
 
 ScenarioResult run_scenario(const std::string& name, Session& session,
@@ -242,7 +227,6 @@ ScenarioResult run_scenario(const std::string& name, Session& session,
   if (name == "trochdf") return run_trochdf(session, explorer);
   if (name == "active_buffering")
     return run_active_buffering(session, explorer);
-  if (name == "async_drain") return run_async_drain(session, explorer);
   if (name == "fig3a") return run_fig3a(session, explorer);
   if (name == "racy") return run_racy(session, explorer);
   throw InvalidArgument("unknown checker scenario: " + name);

@@ -12,10 +12,6 @@
 ///                          snapshot-handoff protocol.
 ///   * "active_buffering" — Rocpanda with a small server buffer, forcing
 ///                          the overflow/spill path under load.
-///   * "async_drain"      — the same workload with the server's drain
-///                          routed through the async vfs backend (pinned
-///                          to its deterministic sync shim on the sim
-///                          substrate — schedules must not change).
 ///   * "fig3a"            — 4 clients + 2 servers, write/compute/write,
 ///                          fetch-back verification, shutdown.
 ///   * "racy"             — deliberately racy regression fixture: a flag

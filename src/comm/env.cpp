@@ -23,7 +23,7 @@ class RealGate final : public Gate {
   void do_notify_all() override { cv_.notify_all(); }
 
  private:
-  roc::Mutex lock_{"gate", /*level=*/-1};
+  roc::Mutex lock_{"gate"};
   roc::CondVar cv_;
 };
 

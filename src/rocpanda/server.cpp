@@ -83,17 +83,7 @@ class Server {
         m_sync_requests_(metrics_.counter("server.sync_requests")),
         m_read_sessions_(metrics_.counter("server.read_sessions")),
         m_buffered_bytes_peak_(metrics_.gauge("server.buffered_bytes_peak")),
-        m_async_stall_waits_(metrics_.gauge("server.async_stall_waits")),
-        m_async_queue_depth_peak_(
-            metrics_.gauge("server.async_queue_depth_peak")),
-        m_write_seconds_(metrics_.histogram("server.write_seconds")) {
-    // The async layer wraps the caller's filesystem and shares the server's
-    // metrics registry, so its counters land next to the server.* ones in
-    // the same export (and in the ServerStats view below).
-    if (opts_.async_io)
-      async_fs_ =
-          std::make_unique<vfs::AsyncFileSystem>(fs_, opts_.async, &metrics_);
-  }
+        m_write_seconds_(metrics_.histogram("server.write_seconds")) {}
 
   /// The returned struct is a view over the server's metrics registry,
   /// assembled once the serve loop exits.
@@ -108,17 +98,6 @@ class Server {
     s.files_created = m_files_created_.value();
     s.sync_requests = m_sync_requests_.value();
     s.read_sessions = m_read_sessions_.value();
-    if (async_fs_) {
-      const vfs::AsyncFileSystem::Stats a = async_fs_->stats();
-      s.async_submissions = a.submissions;
-      s.async_coalesced_writes = a.coalesced_writes;
-      s.async_stall_waits = a.stall_waits;
-      s.async_queue_depth_peak = a.queue_depth_peak;
-      // Mirror the struct-only async view into registry gauges so it shows
-      // up in to_text/to_json snapshots alongside the server.* counters.
-      m_async_stall_waits_.set(static_cast<int64_t>(a.stall_waits));
-      m_async_queue_depth_peak_.set(a.queue_depth_peak);
-    }
     return s;
   }
 
@@ -330,12 +309,6 @@ class Server {
 
   // --- file writing --------------------------------------------------------
 
-  /// The filesystem the background writer runs on: the async backend when
-  /// enabled, the caller's filesystem otherwise.  Reads stay on fs_ — every
-  /// read path drains and closes the writer first, and closing the writer
-  /// settles the async file, so the base filesystem is coherent by then.
-  vfs::FileSystem& write_fs() { return async_fs_ ? *async_fs_ : fs_; }
-
   void ensure_writer(const std::string& path) {
     if (writer_ && open_path_ != path) close_writer();
     if (!writer_) {
@@ -343,13 +316,12 @@ class Server {
       // per block (file-tracking bookkeeping and Writer construction).
       if (started_files_.insert(path).second) {
         // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
-        writer_ =
-            std::make_unique<shdf::Writer>(write_fs(), path, opts_.directory);
+        writer_ = std::make_unique<shdf::Writer>(fs_, path, opts_.directory);
         m_files_created_.increment();
       } else {
         // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per re-opened file.
         writer_ = std::make_unique<shdf::Writer>(
-            shdf::Writer::append(write_fs(), path));
+            shdf::Writer::append(fs_, path));
       }
       open_path_ = path;
     }
@@ -393,12 +365,6 @@ class Server {
     }
     m_blocks_written_.increment();
     m_write_seconds_.observe(telemetry::now() - t0);
-    if (async_fs_) {
-      // Keep the mirrored gauges live during the run, not only at exit.
-      const vfs::AsyncFileSystem::Stats a = async_fs_->stats();
-      m_async_stall_waits_.set(static_cast<int64_t>(a.stall_waits));
-      m_async_queue_depth_peak_.set(a.queue_depth_peak);
-    }
   }
 
   // --- restart (collective read) -------------------------------------------
@@ -573,8 +539,6 @@ class Server {
   vfs::FileSystem& fs_;
   const Layout& layout_;
   ServerOptions opts_;
-  /// Set iff opts_.async_io: wraps fs_ for the background writer.
-  std::unique_ptr<vfs::AsyncFileSystem> async_fs_;
   int my_index_;
   std::vector<int> clients_;
 
@@ -602,8 +566,6 @@ class Server {
   telemetry::Counter& m_sync_requests_;
   telemetry::Counter& m_read_sessions_;
   telemetry::Gauge& m_buffered_bytes_peak_;
-  telemetry::Gauge& m_async_stall_waits_;
-  telemetry::Gauge& m_async_queue_depth_peak_;
   telemetry::Histogram& m_write_seconds_;
 };
 

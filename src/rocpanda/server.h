@@ -24,7 +24,6 @@
 #include "comm/env.h"
 #include "rocpanda/layout.h"
 #include "shdf/format.h"
-#include "vfs/async.h"
 #include "vfs/vfs.h"
 
 namespace roc::rocpanda {
@@ -58,15 +57,6 @@ struct ServerOptions {
 
   /// Prepended to every file name (e.g. an output directory).
   std::string file_prefix;
-
-  /// Route the background writer and active-buffering drain through the
-  /// async vfs backend (submission/completion rings, coalesced staging
-  /// blocks, optional O_DIRECT — see `vfs::AsyncOptions`).  On non-POSIX
-  /// substrates the backend pins to its deterministic sync shim, so
-  /// simulated runs stay bit-for-bit replayable.  false keeps the direct
-  /// synchronous path (ablation, and the seed-stable default).
-  bool async_io = false;
-  vfs::AsyncOptions async;
 };
 
 struct ServerStats {
@@ -78,12 +68,6 @@ struct ServerStats {
   uint64_t files_created = 0;
   uint64_t sync_requests = 0;
   uint64_t read_sessions = 0;
-
-  // Async vfs backend (only populated when ServerOptions::async_io).
-  uint64_t async_submissions = 0;
-  uint64_t async_coalesced_writes = 0;
-  uint64_t async_stall_waits = 0;      ///< ring-backpressure blocks
-  int64_t async_queue_depth_peak = 0;
 };
 
 /// Runs the server routine on this process.  `world` is the full

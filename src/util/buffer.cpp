@@ -1,27 +1,8 @@
 #include "util/buffer.h"
 
-#include <cstdlib>
 #include <cstring>
 
-#include "util/error.h"
-
 namespace roc {
-
-void AlignedBuffer::FreeDeleter::operator()(unsigned char* p) const {
-  std::free(p);  // NOLINT(cppcoreguidelines-no-malloc)
-}
-
-AlignedBuffer AlignedBuffer::allocate(size_t n) {
-  // aligned_alloc requires the size to be a multiple of the alignment.
-  size_t cap = (n + kIoAlignment - 1) / kIoAlignment * kIoAlignment;
-  if (cap == 0) cap = kIoAlignment;
-  AlignedBuffer b;
-  b.mem_.reset(static_cast<unsigned char*>(
-      std::aligned_alloc(kIoAlignment, cap)));  // NOLINT
-  require(b.mem_ != nullptr, "aligned_alloc of ", cap, " bytes failed");
-  b.capacity_ = cap;
-  return b;
-}
 
 SharedBuffer SharedBuffer::copy_of(const void* data, size_t n) {
   std::vector<unsigned char> v(n);
@@ -85,16 +66,6 @@ struct PooledRep {
   }
 };
 
-/// Aligned counterpart of PooledRep.
-struct PooledAlignedRep {
-  AlignedBuffer block;
-  std::weak_ptr<BufferPoolState> pool;
-
-  ~PooledAlignedRep() {
-    if (auto s = pool.lock()) pool_release_aligned(*s, std::move(block));
-  }
-};
-
 }  // namespace
 
 void pool_release(BufferPoolState& s, std::vector<unsigned char> bytes) {
@@ -112,21 +83,6 @@ void pool_release(BufferPoolState& s, std::vector<unsigned char> bytes) {
   // No clear(): the vector keeps its size, so the next acquire() of the
   // same size hands it out without zero-filling it again.
   s.free_lists[b].push_back(std::move(bytes));
-  ++s.returns;
-}
-
-void pool_release_aligned(BufferPoolState& s, AlignedBuffer block) {
-  ROC_ALLOC_EXEMPT();
-  const size_t b = bucket_of(block.capacity());
-  MutexLock lock(s.mutex);
-  ROC_CHECK_SHARED_WRITE(&s.free_lists, "buffer_pool.state");
-  if (block.empty() || b >= kPoolBuckets ||
-      bucket_capacity(b) != block.capacity() ||
-      s.aligned_free_lists[b].size() >= s.max_per_bucket) {
-    ++s.discards;
-    return;  // `block` (a parameter) frees after `lock` releases.
-  }
-  s.aligned_free_lists[b].push_back(std::move(block));
   ++s.returns;
 }
 
@@ -188,45 +144,6 @@ SharedBuffer BufferPool::gather(const BufferChain& chain) {
   std::vector<unsigned char> v = acquire(chain.total_bytes());
   chain.gather_into(v.data());
   return seal(std::move(v));
-}
-
-AlignedBuffer BufferPool::acquire_aligned(size_t n) {
-  ROC_ALLOC_EXEMPT();
-  // Pooled aligned blocks always carry the exact bucket capacity, so the
-  // smallest eligible bucket is the one holding kIoAlignment.
-  const size_t b = detail::bucket_of(n < kIoAlignment ? kIoAlignment : n);
-  {
-    MutexLock lock(state_->mutex);
-    ROC_CHECK_SHARED_WRITE(&state_->free_lists, "buffer_pool.state");
-    if (b < detail::kPoolBuckets) {
-      auto& list = state_->aligned_free_lists[b];
-      if (!list.empty()) {
-        AlignedBuffer block = std::move(list.back());
-        list.pop_back();
-        ++state_->hits;
-        return block;
-      }
-    }
-    ++state_->misses;
-  }
-  return AlignedBuffer::allocate(
-      b < detail::kPoolBuckets ? detail::bucket_capacity(b) : n);
-}
-
-SharedBuffer BufferPool::seal_aligned(AlignedBuffer block, size_t n) {
-  ROC_ALLOC_EXEMPT();
-  require(n <= block.capacity(), "seal_aligned: ", n, " bytes > capacity ",
-          block.capacity());
-  if (n == 0 || block.empty()) {
-    if (!block.empty())
-      detail::pool_release_aligned(*state_, std::move(block));
-    return {};
-  }
-  auto rep = std::make_shared<detail::PooledAlignedRep>();
-  rep->block = std::move(block);
-  rep->pool = state_;
-  const unsigned char* d = rep->block.data();
-  return SharedBuffer(std::shared_ptr<const void>(std::move(rep)), d, n);
 }
 
 BufferPool::Stats BufferPool::stats() const {

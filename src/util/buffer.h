@@ -156,37 +156,6 @@ class BufferChain {
   size_t total_ = 0;
 };
 
-/// Alignment satisfied by every `AlignedBuffer`: storage address and
-/// capacity are both multiples of this.  4096 covers the 512- and 4096-byte
-/// logical block sizes O_DIRECT can demand, and is page-sized, which some
-/// kernels additionally require for direct reads.
-inline constexpr size_t kIoAlignment = 4096;
-
-/// Uniquely-owned mutable byte block whose storage address and capacity are
-/// both `kIoAlignment`-aligned — the shape direct I/O requires.  Obtained
-/// from `BufferPool::acquire_aligned` (or `allocate` when unpooled) and
-/// frozen into a `SharedBuffer` with `BufferPool::seal_aligned`.
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-
-  /// Fresh aligned storage; capacity is `n` rounded up to `kIoAlignment`
-  /// (minimum one alignment unit).  Contents are unspecified.
-  [[nodiscard]] static AlignedBuffer allocate(size_t n);
-
-  [[nodiscard]] unsigned char* data() { return mem_.get(); }
-  [[nodiscard]] const unsigned char* data() const { return mem_.get(); }
-  [[nodiscard]] size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool empty() const { return mem_ == nullptr; }
-
- private:
-  struct FreeDeleter {
-    void operator()(unsigned char* p) const;
-  };
-  std::unique_ptr<unsigned char, FreeDeleter> mem_;
-  size_t capacity_ = 0;
-};
-
 namespace detail {
 
 /// Number of power-of-two size classes a BufferPool keeps.  Bucket `i`
@@ -205,10 +174,6 @@ struct BufferPoolState {
   roc::Mutex mutex{"buffer_pool"};
   std::array<std::vector<std::vector<unsigned char>>, kPoolBuckets> free_lists
       ROC_GUARDED_BY(mutex);
-  /// Idle aligned blocks, same size classes (only buckets whose capacity is
-  /// a multiple of kIoAlignment are ever populated).
-  std::array<std::vector<AlignedBuffer>, kPoolBuckets> aligned_free_lists
-      ROC_GUARDED_BY(mutex);
   uint64_t hits ROC_GUARDED_BY(mutex) = 0;      ///< acquire served from pool
   uint64_t misses ROC_GUARDED_BY(mutex) = 0;    ///< acquire allocated fresh
   uint64_t returns ROC_GUARDED_BY(mutex) = 0;   ///< storage recycled
@@ -219,10 +184,6 @@ struct BufferPoolState {
 /// Returns `bytes`' storage to the pool (or frees it if the bucket is full
 /// or the buffer is outside the pooled size range).
 void pool_release(BufferPoolState& s, std::vector<unsigned char> bytes)
-    ROC_EXCLUDES(s.mutex);
-
-/// Aligned-block counterpart of pool_release.
-void pool_release_aligned(BufferPoolState& s, AlignedBuffer block)
     ROC_EXCLUDES(s.mutex);
 
 }  // namespace detail
@@ -261,17 +222,6 @@ class BufferPool {
 
   /// Convenience: acquire + gather_into + seal in one call.
   [[nodiscard]] SharedBuffer gather(const BufferChain& chain);
-
-  /// A `kIoAlignment`-aligned block with capacity >= n (rounded up to the
-  /// alignment), recycled when possible.  Contents are unspecified.  Pair
-  /// with seal_aligned(); the aligned free lists are separate from the
-  /// vector ones but share the same size classes and stats counters.
-  [[nodiscard]] AlignedBuffer acquire_aligned(size_t n);
-
-  /// Freezes the first `n` bytes of `block` (n <= block.capacity()) into an
-  /// immutable SharedBuffer whose data() keeps the block's alignment; the
-  /// aligned storage returns to this pool when the last reference drops.
-  [[nodiscard]] SharedBuffer seal_aligned(AlignedBuffer block, size_t n);
 
   [[nodiscard]] Stats stats() const;
 

@@ -8,8 +8,7 @@
 /// at every happens-before-relevant event; hot shared structures mark
 /// their accesses with ROC_CHECK_SHARED_READ / ROC_CHECK_SHARED_WRITE.
 ///
-/// Everything here follows the ROC_LOCKDEBUG_ pattern from mutex.h: when
-/// built with -DROCPIO_CHECK=OFF the macros expand to nothing and this
+/// When built with -DROCPIO_CHECK=OFF the macros expand to nothing and this
 /// header contributes zero code to the hot path.  When ON but no checker
 /// session is installed, each hook is one relaxed atomic load and a
 /// branch.

@@ -11,15 +11,13 @@
 ///     at compile time to only be touched with the mutex held
 ///     (`clang++ -Wthread-safety`, the `thread-safety` CI job).
 ///
-///  2. Optional dynamic checking.  Built with `-DROCPIO_DEBUG_LOCKS=ON`,
-///     every mutex tracks a per-thread stack of held locks and aborts on
-///     recursive acquisition or on a lock-order (level) violation, and
-///     warns on stderr when a lock is held longer than
-///     `ROC_LOCK_WARN_MS` milliseconds (default 500; waiting on a
-///     `CondVar` does not count as holding).
+///  2. Dynamic checking.  Each lock, unlock and wait reports to the
+///     deterministic concurrency checker (src/check, `ROC_CHECKHOOK_`),
+///     which builds the named lock-order graph; TSan covers recursive
+///     acquisition.
 ///
-/// The release build compiles to exactly a `std::mutex`: the checker hooks
-/// vanish and every method is a one-line inline forward.
+/// With `-DROCPIO_CHECK=OFF` this compiles to exactly a `std::mutex`: the
+/// checker hooks vanish and every method is a one-line inline forward.
 
 #include <chrono>
 #include <condition_variable>
@@ -31,40 +29,15 @@
 
 namespace roc {
 
-class Mutex;
-
-#if defined(ROCPIO_DEBUG_LOCKS)
-namespace lockdebug {
-/// Hooks implemented in mutex.cpp; no-ops unless ROCPIO_DEBUG_LOCKS.
-void note_acquire(const Mutex* m, const char* name, int level);
-void note_release(const Mutex* m, const char* name);
-/// A CondVar wait releases and re-acquires without counting the blocked
-/// time against the held-too-long threshold.
-void note_wait_begin(const Mutex* m, const char* name);
-void note_wait_end(const Mutex* m, const char* name, int level);
-}  // namespace lockdebug
-#define ROC_LOCKDEBUG_(stmt) stmt
-#else
-#define ROC_LOCKDEBUG_(stmt)
-#endif
-
 /// A plain (non-recursive) mutex, annotated as a static-analysis
-/// capability and instrumented by the optional debug lock checker.
+/// capability and instrumented by the concurrency checker's hooks.
 class ROC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
 
-  /// `name` appears in debug-checker diagnostics.  `level`, when >= 0,
-  /// declares this mutex's rank in the global acquisition order: a thread
-  /// holding a levelled mutex may only acquire further mutexes of strictly
-  /// greater level (checked under ROCPIO_DEBUG_LOCKS; deadlock
-  /// prevention).  Unlevelled mutexes (-1) are exempt from ordering but
-  /// still checked for recursive acquisition.
-  explicit Mutex(const char* name, int level = -1)
-      : name_(name), level_(level) {
-    (void)name_;
-    (void)level_;
-  }
+  /// `name` labels this mutex in the checker's lock-order graph and its
+  /// diagnostics.
+  explicit Mutex(const char* name) : name_(name) { (void)name_; }
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -75,13 +48,11 @@ class ROC_CAPABILITY("mutex") Mutex {
       ROC_ACQUIRE() ROC_NO_THREAD_SAFETY_ANALYSIS {
     ROC_CHECK_PREEMPT("mutex.lock");
     m_.lock();
-    ROC_LOCKDEBUG_(lockdebug::note_acquire(this, name_, level_));
     ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
     (void)loc;
   }
 
   void unlock() ROC_RELEASE() ROC_NO_THREAD_SAFETY_ANALYSIS {
-    ROC_LOCKDEBUG_(lockdebug::note_release(this, name_));
     ROC_CHECKHOOK_(lock_release(this));
     m_.unlock();
   }
@@ -90,7 +61,6 @@ class ROC_CAPABILITY("mutex") Mutex {
       std::source_location loc = std::source_location::current())
       ROC_TRY_ACQUIRE(true) ROC_NO_THREAD_SAFETY_ANALYSIS {
     const bool ok = m_.try_lock();
-    ROC_LOCKDEBUG_(if (ok) lockdebug::note_acquire(this, name_, level_));
     if (ok) {
       ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
     }
@@ -102,7 +72,6 @@ class ROC_CAPABILITY("mutex") Mutex {
   friend class CondVar;
   std::mutex m_;
   const char* name_ = "mutex";
-  int level_ = -1;
 };
 
 /// RAII lock for a roc::Mutex (the only way most code should lock one).
@@ -136,12 +105,10 @@ class CondVar {
       ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
     // The caller holds m per the contract; adopt it for the wait and hand
     // it back afterwards.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_begin(&m, m.name_));
     ROC_CHECKHOOK_(wait_begin(&m));
     std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
     cv_.wait(lk);
     lk.release();  // Caller still owns the lock after wait() returns.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_end(&m, m.name_, m.level_));
     ROC_CHECKHOOK_(wait_end(&m, m.name_, loc.file_name(), loc.line()));
     (void)loc;
   }
@@ -160,13 +127,11 @@ class CondVar {
   bool wait_for(Mutex& m, double seconds,
                 std::source_location loc = std::source_location::current())
       ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
-    ROC_LOCKDEBUG_(lockdebug::note_wait_begin(&m, m.name_));
     ROC_CHECKHOOK_(wait_begin(&m));
     std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
     const std::cv_status status =
         cv_.wait_for(lk, std::chrono::duration<double>(seconds));
     lk.release();  // Caller still owns the lock after wait_for() returns.
-    ROC_LOCKDEBUG_(lockdebug::note_wait_end(&m, m.name_, m.level_));
     ROC_CHECKHOOK_(wait_end(&m, m.name_, loc.file_name(), loc.line()));
     (void)loc;
     return status == std::cv_status::no_timeout;

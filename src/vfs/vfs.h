@@ -48,7 +48,7 @@ class File {
     size_t total = 0;
     for (const ConstBuffer& s : segments) total += s.size;
     if (total == 0) return;
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: generic gather fallback; the production backends (Posix, Mem, Async) override with copy-free paths.
+    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: generic gather fallback; the production backends (Posix, Mem) override with copy-free paths.
     std::vector<unsigned char> gathered(total);
     unsigned char* out = gathered.data();
     for (const ConstBuffer& s : segments) {
@@ -101,10 +101,6 @@ class PosixFileSystem final : public FileSystem {
   bool exists(const std::string& path) override;
   void remove(const std::string& path) override;
   std::vector<std::string> list(const std::string& prefix) override;
-
-  /// Root prefix ("" or ends with '/').  AsyncFileSystem uses it to open
-  /// raw descriptors on the same paths this instance serves.
-  [[nodiscard]] const std::string& root() const { return root_; }
 
  private:
   [[nodiscard]] std::string full(const std::string& path) const;

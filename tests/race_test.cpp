@@ -22,9 +22,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/log.h"
-#include "util/mutex.h"
 #include "util/thread.h"
-#include "vfs/async.h"
 #include "vfs/vfs.h"
 
 namespace roc {
@@ -299,83 +297,6 @@ TEST(RaceTest, TraceRingHammer) {
   // Rings are far larger than 4*2*kRounds events: nothing may be dropped.
   EXPECT_EQ(collected, 4u * 2u * kRounds);
 #endif
-}
-
-/// Four producers share ONE async engine: each submits `kRounds` writes to
-/// its own disjoint stripe of a mutex-guarded memory target while reaping
-/// whatever completions are available, then the main thread drains.  This
-/// hammers the submission deque, the backpressure condvar and the
-/// completion ring from every side at once (production uses one ring per
-/// file, but the engines promise thread safety and TSan holds them to it).
-TEST(RaceTest, CompletionRingHammer) {
-  class StripedTarget final : public vfs::IoTarget {
-   public:
-    explicit StripedTarget(size_t n) : bytes_(n, 0) {}
-    int64_t pwrite(const void* data, size_t n, uint64_t offset,
-                   bool /*direct*/) noexcept override {
-      MutexLock lock(mu_);
-      std::memcpy(bytes_.data() + offset, data, n);
-      return static_cast<int64_t>(n);
-    }
-    void read_at(void*, size_t, uint64_t) override {}
-    uint64_t size() override { return 0; }
-    void flush() override {}
-    [[nodiscard]] unsigned char at(size_t i) {
-      MutexLock lock(mu_);
-      return bytes_[i];
-    }
-
-   private:
-    Mutex mu_{"striped_target"};
-    std::vector<unsigned char> bytes_ ROC_GUARDED_BY(mu_);
-  };
-
-  constexpr int kThreads = 4;
-  constexpr size_t kChunk = 64;
-  telemetry::MetricsRegistry reg;
-  auto engine = vfs::make_thread_pool_engine(/*queue_depth=*/8, /*workers=*/2,
-                                             vfs::AsyncMetrics(reg));
-  StripedTarget target(kThreads * static_cast<size_t>(kRounds) * kChunk);
-  std::atomic<size_t> reaped{0};
-  {
-    std::vector<roc::Thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        // Pinned, not stack-owned: the producer thread may exit while its
-        // last submissions are still executing on the workers.
-        SharedBuffer payload = SharedBuffer::adopt(std::vector<unsigned char>(
-            kChunk, static_cast<unsigned char>(t + 1)));
-        std::vector<vfs::Cqe> cq;
-        for (int i = 0; i < kRounds; ++i) {
-          vfs::Sqe s;
-          s.id = static_cast<uint64_t>(t) * 100000 + static_cast<uint64_t>(i);
-          s.target = &target;
-          s.offset = (static_cast<uint64_t>(t) * kRounds +
-                      static_cast<uint64_t>(i)) *
-                     kChunk;
-          s.pin = payload;
-          s.data = payload.data();
-          s.len = kChunk;
-          engine->submit(std::move(s));
-          cq.clear();
-          engine->reap(&cq);  // racing reapers: completions must not dup
-          for (const vfs::Cqe& c : cq) EXPECT_EQ(c.result, (int64_t)kChunk);
-          reaped.fetch_add(cq.size(), std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  engine->drain();
-  std::vector<vfs::Cqe> tail;
-  engine->reap(&tail);
-  reaped.fetch_add(tail.size(), std::memory_order_relaxed);
-  EXPECT_EQ(reaped.load(), static_cast<size_t>(kThreads) * kRounds);
-  EXPECT_EQ(reg.counter("vfs.async.completions").value(),
-            static_cast<uint64_t>(kThreads) * kRounds);
-  for (int t = 0; t < kThreads; ++t)
-    EXPECT_EQ(target.at(static_cast<size_t>(t) * kRounds * kChunk),
-              static_cast<unsigned char>(t + 1));
 }
 
 /// Four threads write flight-recorder events (spans and raw records) while

@@ -411,20 +411,17 @@ TEST(Rocpanda, SelectiveFieldWrite) {
   EXPECT_FALSE(r.has_dataset("fluid/block_000000/field:velocity"));
 }
 
-// --- async vfs backend in the background writer ---------------------------
+// --- real filesystem -------------------------------------------------------
 
-TEST(Rocpanda, AsyncIoWriteReadRoundTripOnPosix) {
-  // A POSIX base gives the server's writer a REAL ring engine (uring or
-  // thread pool); the snapshot must still read back bit-identical.
+TEST(Rocpanda, WriteReadRoundTripOnPosix) {
+  // The server's background writer on real files: the snapshot must read
+  // back bit-identical.
   const auto root = std::filesystem::temp_directory_path() /
-                    ("rocpio_panda_async_" + std::to_string(::getpid()));
+                    ("rocpio_panda_posix_" + std::to_string(::getpid()));
   {
     vfs::PosixFileSystem fs(root.string());
-    ServerOptions opts;
-    opts.async_io = true;
-    opts.async.queue_depth = 8;
     run_deployment(
-        4, 1, fs, opts,
+        4, 1, fs, ServerOptions{},
         [&](comm::Comm&, const Layout&, comm::Comm& clients,
             RocpandaClient& panda) {
           Roccom com;
@@ -446,39 +443,6 @@ TEST(Rocpanda, AsyncIoWriteReadRoundTripOnPosix) {
   }
   std::filesystem::remove_all(root);
 }
-
-TEST(Rocpanda, AsyncIoStatsPopulatedAndMemBaseStaysDeterministic) {
-  // On a Mem base the backend pins to the sync shim — the run must still
-  // work and the ServerStats async fields must be populated.
-  vfs::MemFileSystem fs;
-  comm::World::run(2, [&](comm::Comm& world) {
-    comm::RealEnv env;
-    const Layout layout(world.size(), 1);
-    auto local = world.split(layout.is_server(world.rank()) ? 1 : 0,
-                             world.rank());
-    if (layout.is_server(world.rank())) {
-      ServerOptions opts;
-      opts.async_io = true;
-      const ServerStats st =
-          run_server(world, *local, env, fs, layout, opts);
-      EXPECT_GT(st.async_submissions, 0u);
-      EXPECT_GE(st.async_queue_depth_peak, 1);
-      return;
-    }
-    RocpandaClient client(world, env, layout);
-    Roccom com;
-    auto& w = com.create_window("f");
-    auto b = make_block(0, 5);
-    w.register_pane(0, &b);
-    client.write_attribute(com, IoRequest{"f", "all", "amem", 0.0});
-    client.sync();
-    const auto back = client.fetch_blocks("amem", {0});
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].state_checksum(), b.state_checksum());
-    client.shutdown();
-  });
-}
-
 
 // --- client-side buffer hierarchy (extension; paper §6.1's "buffer
 // hierarchy on both the clients and servers") ------------------------------

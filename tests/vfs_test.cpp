@@ -6,46 +6,187 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <functional>
+#include "util/mutex.h"
 #include "util/thread.h"
-#include "vfs/async.h"
 #include "vfs/vfs.h"
 
 namespace roc::vfs {
 namespace {
 
-/// Parameterized over every implementation — including the async decorator
-/// in its real-engine and sync-shim configurations: they must all behave
-/// identically through the File/FileSystem contract.
+/// Runs calls on another thread while the caller blocks, the way the
+/// asynchronous writers (Rocpanda's background writer, T-Rochdf's per-rank
+/// I/O thread) drive a backend.  Either one long-lived I/O thread serves
+/// every call, or each call gets a fresh thread.  Exceptions are rethrown
+/// on the caller.
+class IoThread {
+ public:
+  explicit IoThread(bool thread_per_call) : per_call_(thread_per_call) {
+    if (!per_call_) worker_ = roc::Thread([this] { serve(); });
+  }
+  ~IoThread() {
+    if (per_call_) return;
+    {
+      MutexLock lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    worker_.join();
+  }
+  IoThread(const IoThread&) = delete;
+  IoThread& operator=(const IoThread&) = delete;
+
+  void run(const std::function<void()>& fn) {
+    std::exception_ptr err;
+    std::function<void()> job = [&] {
+      try {
+        fn();
+      } catch (...) {
+        err = std::current_exception();
+      }
+    };
+    if (per_call_) {
+      roc::Thread(job).join();
+    } else {
+      MutexLock lock(mu_);
+      while (job_) cv_.wait(mu_);
+      job_ = std::move(job);
+      cv_.notify_all();
+      while (job_) cv_.wait(mu_);
+    }
+    if (err) std::rethrow_exception(err);
+  }
+
+ private:
+  void serve() {
+    MutexLock lock(mu_);
+    for (;;) {
+      while (!stop_ && !job_) cv_.wait(mu_);
+      if (stop_) return;
+      job_();
+      job_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  const bool per_call_;
+  Mutex mu_{"vfs_test.io_thread"};
+  CondVar cv_;
+  std::function<void()> job_ ROC_GUARDED_BY(mu_);
+  bool stop_ ROC_GUARDED_BY(mu_) = false;
+  roc::Thread worker_;
+};
+
+/// File handle whose every call runs on the IoThread (including close).
+class IoThreadFile final : public File {
+ public:
+  IoThreadFile(std::unique_ptr<File> f, IoThread& io, bool flush_each_write)
+      : f_(std::move(f)), io_(io), flush_each_write_(flush_each_write) {}
+  ~IoThreadFile() override { io_.run([&] { f_.reset(); }); }
+
+  void write(const void* data, size_t n) override {
+    io_.run([&] {
+      f_->write(data, n);
+      if (flush_each_write_) f_->flush();
+    });
+  }
+  void read(void* out, size_t n) override {
+    io_.run([&] { f_->read(out, n); });
+  }
+  void seek(uint64_t pos) override {
+    io_.run([&] { f_->seek(pos); });
+  }
+  [[nodiscard]] uint64_t tell() const override {
+    uint64_t r = 0;
+    io_.run([&] { r = f_->tell(); });
+    return r;
+  }
+  [[nodiscard]] uint64_t size() const override {
+    uint64_t r = 0;
+    io_.run([&] { r = f_->size(); });
+    return r;
+  }
+  void flush() override {
+    io_.run([&] { f_->flush(); });
+  }
+
+ private:
+  std::unique_ptr<File> f_;
+  IoThread& io_;
+  const bool flush_each_write_;
+};
+
+/// FileSystem decorator that moves every call onto an IoThread.
+class IoThreadFileSystem final : public FileSystem {
+ public:
+  IoThreadFileSystem(std::unique_ptr<FileSystem> base, bool thread_per_call,
+                     bool flush_each_write)
+      : base_(std::move(base)),
+        io_(thread_per_call),
+        flush_each_write_(flush_each_write) {}
+
+  std::unique_ptr<File> open(const std::string& path,
+                             OpenMode mode) override {
+    std::unique_ptr<File> f;
+    io_.run([&] { f = base_->open(path, mode); });
+    return std::make_unique<IoThreadFile>(std::move(f), io_,
+                                          flush_each_write_);
+  }
+  bool exists(const std::string& path) override {
+    bool r = false;
+    io_.run([&] { r = base_->exists(path); });
+    return r;
+  }
+  void remove(const std::string& path) override {
+    io_.run([&] { base_->remove(path); });
+  }
+  std::vector<std::string> list(const std::string& prefix) override {
+    std::vector<std::string> r;
+    io_.run([&] { r = base_->list(prefix); });
+    return r;
+  }
+
+ private:
+  std::unique_ptr<FileSystem> base_;
+  IoThread io_;
+  const bool flush_each_write_;
+};
+
+/// Parameterized over every implementation: they must all behave
+/// identically through the File/FileSystem contract.  The "async-*" cases
+/// drive a backend from other threads (see IoThread):
+///   async-auto    — Posix, one background I/O thread;
+///   async-sync    — as async-auto, with flush() after every write;
+///   async-threads — Posix, a fresh thread per call, so one File handle is
+///                   used from a succession of threads;
+///   async-mem     — Mem, one background I/O thread.
 class FileSystemTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     const std::string param = GetParam();
-    if (param != "mem" && param != "async-mem") {
+    std::unique_ptr<FileSystem> base;
+    if (param == "mem" || param == "async-mem") {
+      base = std::make_unique<MemFileSystem>();
+    } else {
       root_ = std::filesystem::temp_directory_path() /
               ("rocpio_vfs_test_" + std::to_string(::getpid()));
-      base_ = std::make_unique<PosixFileSystem>(root_.string());
-    } else {
-      base_ = std::make_unique<MemFileSystem>();
+      base = std::make_unique<PosixFileSystem>(root_.string());
     }
     if (param == "posix" || param == "mem") {
-      fs_ = std::move(base_);
+      fs_ = std::move(base);
       return;
     }
-    AsyncOptions opts;
-    if (param == "async-sync") opts.backend = AsyncBackend::kSync;
-    if (param == "async-threads") opts.backend = AsyncBackend::kThreadPool;
-    if (param == "async-uncoalesced") opts.coalesce_bytes = 0;
-    if (param == "async-direct") opts.direct_io = true;
-    fs_ = std::make_unique<AsyncFileSystem>(*base_, opts);
+    fs_ = std::make_unique<IoThreadFileSystem>(
+        std::move(base), /*thread_per_call=*/param == "async-threads",
+        /*flush_each_write=*/param == "async-sync");
   }
   void TearDown() override {
     fs_.reset();
-    base_.reset();
     if (!root_.empty()) std::filesystem::remove_all(root_);
   }
 
-  std::unique_ptr<FileSystem> base_;  ///< wrapped base for async variants
   std::unique_ptr<FileSystem> fs_;
   std::filesystem::path root_;
 };
@@ -143,7 +284,6 @@ TEST_P(FileSystemTest, ZeroByteOperationsAreNoOps) {
 INSTANTIATE_TEST_SUITE_P(Backends, FileSystemTest,
                          ::testing::Values("posix", "mem", "async-auto",
                                            "async-sync", "async-threads",
-                                           "async-uncoalesced", "async-direct",
                                            "async-mem"));
 
 TEST(MemFileSystem, SharedStoreAcrossCopies) {

@@ -57,10 +57,6 @@ PAIRS = (
     ("BM_WireMarshalCopy", "BM_WireMarshalChain"),
     ("BM_BlockShipCopy", "BM_BlockShipZeroCopy"),
     ("BM_ServerWriteMaterialize", "BM_ServerWritePassThrough"),
-    # Raw-write band (async vfs backend); the suffix is the queue depth.
-    ("BM_RawWriteSync", "BM_RawWriteAsync"),
-    ("BM_RawWriteSync", "BM_RawWriteAsyncUncoalesced"),
-    ("BM_RawWriteBulkBuffered", "BM_RawWriteBulkDirect"),
     # Checksum kernel: portable slicing-by-8 vs the dispatched kernel.  On
     # x86 runners a silent fallback to slicing collapses this edge.
     ("BM_Crc64Sliced", "BM_Crc64"),

@@ -35,7 +35,6 @@ import tempfile
 SWEEP = (
     ("trochdf", 24),
     ("active_buffering", 16),
-    ("async_drain", 16),
     ("fig3a", 8),
 )
 

@@ -7,7 +7,7 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    std lock helpers) outside the annotated wrappers in
                    src/util/mutex.h -- all locking must go through
                    roc::Mutex / roc::CondVar so Clang Thread Safety
-                   Analysis and the debug lock checker see it.
+                   Analysis and the concurrency checker see it.
   raw-thread       No raw std::thread construction or detach() outside
                    the roc::Thread wrapper (src/util/thread.*) and the
                    simulator's platform shim -- every thread must be a
@@ -30,19 +30,11 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    hides.
   pragma-once      Every header starts with `#pragma once` as its first
                    non-comment line.
-  view-member      No borrowing view type (ConstBuffer, WireBlockView,
-                   std::string_view) stored as a non-static data member
-                   outside the allowlist: a stored view dangles the
-                   moment its owner dies.  The sanctioned pattern (owner
-                   held alongside, as in BufferChain::Segment) lives in
-                   allowlisted files that tools/rocanalyze verifies more
-                   deeply (rule R1); this is the cheap lexical net for
-                   machines without libclang.
   raw-io           No raw POSIX write calls (::write/::pwrite/::writev
                    and variants) outside src/vfs/ -- all file output must
-                   flow through the vfs layer so the async backend,
-                   telemetry spans and the sim substrate see it.  Reads
-                   stay legal (tools legitimately read /proc etc.).
+                   flow through the vfs layer so telemetry spans and
+                   the sim substrate see it.  Reads stay legal (tools
+                   legitimately read /proc etc.).
   metric-name      Every metric/span name handed to the telemetry emit
                    helpers (registry counter/gauge/histogram, the
                    ROC_TRACE_* macros' category+name, watchdog::beat)
@@ -124,9 +116,8 @@ RAW_CLOCK_RE = re.compile(
     r"(steady_clock|system_clock|high_resolution_clock)\s*::\s*now\b"
 )
 
-# The vfs layer is the single sanctioned home of raw write syscalls; tests
-# may open raw descriptors to probe kernel features (O_DIRECT, io_uring)
-# but route actual writes through IoTarget/File implementations.
+# The vfs layer is the single sanctioned home of raw write syscalls;
+# everything else writes through vfs::File implementations.
 RAW_IO_ALLOWLIST_DIRS = (
     os.path.join("src", "vfs") + os.sep,
 )
@@ -360,74 +351,6 @@ def check_pragma_once(root: str, path: str, text: str, stripped: str):
     yield Violation("pragma-once", rel, 1, "empty header without #pragma once")
 
 
-# --- rule: view-member ------------------------------------------------------
-
-# Files where stored views are sanctioned: the owner is provably held
-# alongside the view, and tools/rocanalyze (rule R1) checks exactly that.
-VIEW_MEMBER_ALLOWLIST_FILES = {
-    os.path.join("src", "util", "buffer.h"),
-}
-# The analyzer's planted-violation fixtures exist to store views badly.
-VIEW_MEMBER_ALLOWLIST_DIRS = (
-    os.path.join("tools", "rocanalyze", "fixtures") + os.sep,
-)
-
-VIEW_MEMBER_RE = re.compile(
-    r"^(?:mutable\s+)?(?:const\s+)?"
-    r"(?:(?:std\s*::\s*)?string_view|ConstBuffer|WireBlockView)\s+\w+"
-    r"\s*(?:=.*)?$", re.S)
-ACCESS_LABEL_RE = re.compile(r"^((public|private|protected)\s*:\s*)+")
-CLASS_KEYWORD_RE = re.compile(r"\b(class|struct|union)\b")
-
-
-def check_view_member(root: str, path: str, text: str, stripped: str):
-    rel = relpath(root, path)
-    if rel in VIEW_MEMBER_ALLOWLIST_FILES:
-        return
-    if any(rel.startswith(d) for d in VIEW_MEMBER_ALLOWLIST_DIRS):
-        return
-    raw_lines = text.splitlines()
-    # Brace tracker: a statement is a data-member declaration when the
-    # innermost enclosing scope is a class/struct body.  Scope headers are
-    # classified lexically: `class`/`struct` keyword and no parameter list
-    # (which would make it a function or constructor).
-    stack = []  # True = class body
-    seg_start = 0  # just after the previous `{`, `}` or `;`
-    i, n = 0, len(stripped)
-    while i < n:
-        c = stripped[i]
-        if c == "{":
-            header = stripped[seg_start:i]
-            is_class = (bool(CLASS_KEYWORD_RE.search(header))
-                        and "enum" not in header and "(" not in header)
-            stack.append(is_class)
-            seg_start = i + 1
-        elif c == "}":
-            if stack:
-                stack.pop()
-            seg_start = i + 1
-        elif c == ";":
-            stmt = stripped[seg_start:i]
-            if stack and stack[-1]:
-                s = ACCESS_LABEL_RE.sub("", stmt.strip())
-                if VIEW_MEMBER_RE.match(s) and not s.startswith("static"):
-                    off = seg_start + len(stmt) - len(stmt.lstrip())
-                    lineno = stripped.count("\n", 0, off) + 1
-                    raw = raw_lines[lineno - 1] \
-                        if lineno <= len(raw_lines) else ""
-                    if ALLOW_MARKER not in raw:
-                        yield Violation(
-                            "view-member", rel, lineno,
-                            "borrowing view stored as a data member -- it "
-                            "dangles when the owner dies; keep the owning "
-                            "SharedBuffer/BufferChain alongside it in an "
-                            "allowlisted file (tools/rocanalyze R1 "
-                            "verifies those) or take the view as a call "
-                            "argument")
-            seg_start = i + 1
-        i += 1
-
-
 # --- rule: raw-io -----------------------------------------------------------
 
 def check_raw_io(root: str, path: str, text: str, stripped: str):
@@ -446,8 +369,8 @@ def check_raw_io(root: str, path: str, text: str, stripped: str):
         yield Violation(
             "raw-io", rel, lineno,
             f"raw ::{m.group(1)}() outside src/vfs/ -- write through the "
-            f"vfs layer (vfs::File / vfs::IoTarget) so the async backend, "
-            f"trace spans and the sim substrate see the bytes")
+            f"vfs layer (vfs::File) so trace spans and the sim substrate "
+            f"see the bytes")
 
 
 # --- rule: metric-name ------------------------------------------------------
@@ -586,7 +509,6 @@ FILE_RULES = {
     "raw-clock": check_raw_clock,
     "catch-all": check_catch_all,
     "pragma-once": check_pragma_once,
-    "view-member": check_view_member,
     "raw-io": check_raw_io,
     "metric-name": check_metric_name,
     "analyzer-allow": check_analyzer_allow,

@@ -208,74 +208,6 @@ class TestPragmaOnce(LintTestCase):
         self.assertEqual(self.run_rules(["pragma-once"]), [])
 
 
-class TestViewMember(LintTestCase):
-    def test_flags_view_members(self):
-        self.write("src/a.h", """
-            #pragma once
-            class Cache {
-             public:
-              void put(ConstBuffer v);
-             private:
-              ConstBuffer view_;
-              std::string_view name_;
-              WireBlockView block_;
-            };
-        """)
-        v = self.run_rules(["view-member"])
-        self.assertEqual(self.rules_hit(v), {"view-member"})
-        self.assertEqual(len(v), 3)
-
-    def test_locals_and_parameters_are_clean(self):
-        self.write("src/b.cpp", """
-            void ship(ConstBuffer view) {
-              ConstBuffer head = view;
-              std::string_view tail = "x";
-              (void)head; (void)tail;
-            }
-        """)
-        self.assertEqual(self.run_rules(["view-member"]), [])
-
-    def test_pointer_and_static_members_are_clean(self):
-        self.write("src/c.h", """
-            #pragma once
-            class Edge {
-              ConstBuffer* borrowed_elsewhere_;
-              static std::string_view kName;
-              int plain_;
-            };
-        """)
-        self.assertEqual(self.run_rules(["view-member"]), [])
-
-    def test_owner_alongside_allowlist_file_is_clean(self):
-        self.write("src/util/buffer.h", """
-            #pragma once
-            struct Segment {
-              ConstBuffer view;
-              SharedBuffer owner;
-            };
-        """)
-        self.assertEqual(self.run_rules(["view-member"]), [])
-
-    def test_allow_marker_is_clean(self):
-        self.write("src/d.h", """
-            #pragma once
-            class Pinned {
-              ConstBuffer view_;  // LINT-ALLOW(view-member): pool-pinned
-            };
-        """)
-        self.assertEqual(self.run_rules(["view-member"]), [])
-
-    def test_first_member_after_access_label_is_flagged(self):
-        self.write("src/e.h", """
-            #pragma once
-            class Glued {
-             private:
-              std::string_view first_;
-            };
-        """)
-        self.assertEqual(len(self.run_rules(["view-member"])), 1)
-
-
 class TestRawIo(LintTestCase):
     def test_flags_raw_write_family(self):
         self.write("src/rocpanda/leak.cpp", """

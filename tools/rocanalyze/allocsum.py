@@ -2,12 +2,12 @@
 
 Built on callgraph.Program (shared with lockset.py), this module computes
 the HOT CLOSURE: every method reachable from a ROC_HOT-annotated root
-(client marshal/ship, Comm::sendv delivery, server probe/buffer/write,
-AsyncEngine::submit), each with a witness chain of call frames.  cxxmodel
-records per-method allocation sites (new, make_shared/make_unique,
-container growth, std::string / std::vector temporaries, caller-charged
-materialisations) and by-value copy-discipline parameters; the rules are
-set intersections over the closure:
+(client marshal/ship, Comm::sendv delivery, server probe/buffer/write),
+each with a witness chain of call frames.  cxxmodel records per-method
+allocation sites (new, make_shared/make_unique, container growth,
+std::string / std::vector temporaries, caller-charged materialisations)
+and by-value copy-discipline parameters; the rules are set intersections
+over the closure:
 
   r8-hotpath-alloc   a direct allocation site in a hot-reachable method.
   r9-copy-discipline a by-value pass of a ref-counted / gather /
@@ -64,8 +64,7 @@ INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
                          "src/sim/simulation.h", "src/sim/simulation.cpp")
 # Pool entry points: calls to these are the sanctioned way to obtain a hot
 # buffer; the closure treats them as leaves.
-CHANNEL_METHODS = frozenset({"acquire", "acquire_aligned", "seal",
-                             "seal_aligned"})
+CHANNEL_METHODS = frozenset({"acquire", "seal"})
 
 # Curated cold roots (R10): operations whose cost/latency profile has no
 # business on a hot path even when they do not allocate.
@@ -123,9 +122,9 @@ class Analysis:
                 if m.hot:
                     roots.add(key)
         # Class-level ROC_HOT declarations: out-of-line definitions resolve
-        # by (class, name); virtuals (Comm::sendv, AsyncEngine::submit)
-        # additionally seed every override via the name union, so the
-        # closure covers whichever implementation dispatch picks.
+        # by (class, name); virtuals (Comm::sendv) additionally seed every
+        # override via the name union, so the closure covers whichever
+        # implementation dispatch picks.
         for fm in self.models:
             for ci in fm.classes:
                 for name in ci.hot_decls:

@@ -1055,8 +1055,6 @@ def _classify_alloc_call(c):
         return ("materialize", "SharedBuffer::copy_of")
     if c.callee == "adopt":
         return ("make", "SharedBuffer::adopt")
-    if c.callee == "allocate" and c.recv_class == "AlignedBuffer":
-        return ("make", "AlignedBuffer::allocate")
     if c.callee == "gather":
         if "pool" in (c.recv + " " + c.args).lower():
             return None  # gathers into a BufferPool: sanctioned channel
