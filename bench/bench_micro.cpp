@@ -379,10 +379,10 @@ void BM_ServerWritePassThrough(benchmark::State& state) {
   for (auto _ : state) {
     vfs::MemFileSystem fs;
     shdf::Writer w(fs, "f");
-    view.write_to(w, windows[0], 0.0, shdf::Codec::kNone, &scratch);
+    view.write_to(w, windows[0], 0.0, &scratch);
     const uint64_t c0 = check::thread_charged_allocs();
     for (int i = 1; i <= kWritesPerRun; ++i)
-      view.write_to(w, windows[i], 0.0, shdf::Codec::kNone, &scratch);
+      view.write_to(w, windows[i], 0.0, &scratch);
     charged += check::thread_charged_allocs() - c0;
   }
   if (state.iterations() > 0)

@@ -27,10 +27,9 @@ void write_mesh(shdf::Writer& w, const std::string& window,
 }
 
 void write_field(shdf::Writer& w, const std::string& window,
-                 const MeshBlock& b, const mesh::Field& f, double time,
-                 shdf::Codec codec) {
+                 const MeshBlock& b, const mesh::Field& f, double time) {
   w.add_dataset(field_def(window, b.id(), f.name, f.centering, f.ncomp,
-                          f.data.size(), time, codec),
+                          f.data.size(), time),
                 f.data.data());
 }
 
@@ -110,13 +109,12 @@ void connectivity_def_into(const std::string& prefix, uint64_t element_count,
 
 void field_def_into(const std::string& prefix, const std::string& field,
                     mesh::Centering centering, int ncomp,
-                    uint64_t value_count, double time, shdf::Codec codec,
-                    DatasetDef& def) {
+                    uint64_t value_count, double time, DatasetDef& def) {
   def.name = prefix;
   def.name += "field:";
   def.name += field;
   def.type = DataType::kFloat64;
-  def.codec = codec;
+  def.codec = shdf::Codec::kNone;
   // Entity count derived from the data itself, so partially-populated
   // marshalling blocks (field-only transfers) write correct datasets.
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild.
@@ -150,25 +148,23 @@ DatasetDef connectivity_def(const std::string& window, int pane_id,
 
 DatasetDef field_def(const std::string& window, int pane_id,
                      const std::string& field, mesh::Centering centering,
-                     int ncomp, uint64_t value_count, double time,
-                     shdf::Codec codec) {
+                     int ncomp, uint64_t value_count, double time) {
   DatasetDef def;
   field_def_into(block_prefix(window, pane_id), field, centering, ncomp,
-                 value_count, time, codec, def);
+                 value_count, time, def);
   return def;
 }
 
 void write_block(shdf::Writer& w, const std::string& window,
                  const MeshBlock& block, const std::string& attribute,
-                 double time, shdf::Codec codec) {
+                 double time) {
   if (attribute == "all") {
     write_mesh(w, window, block, time);
-    for (const auto& f : block.fields())
-      write_field(w, window, block, f, time, codec);
+    for (const auto& f : block.fields()) write_field(w, window, block, f, time);
   } else if (attribute == "mesh") {
     write_mesh(w, window, block, time);
   } else {
-    write_field(w, window, block, block.field(attribute), time, codec);
+    write_field(w, window, block, block.field(attribute), time);
   }
 }
 

@@ -29,12 +29,6 @@ Rochdf::Rochdf(comm::Comm& comm, comm::Env& env, vfs::FileSystem& fs,
       env_(env),
       fs_(fs),
       options_(std::move(options)),
-      m_write_calls_(metrics_.counter("rochdf.write_calls")),
-      m_blocks_written_(metrics_.counter("rochdf.blocks_written")),
-      m_bytes_buffered_(metrics_.counter("rochdf.bytes_buffered")),
-      m_files_written_(metrics_.counter("rochdf.files_written")),
-      m_snapshot_waits_(metrics_.counter("rochdf.snapshot_waits")),
-      m_write_seconds_(metrics_.histogram("rochdf.write_seconds")),
       gate_storage_(env.make_gate()),
       gate_(gate_storage_.get()) {
   gate_->set_name("rochdf-gate");
@@ -71,13 +65,14 @@ void Rochdf::write_now(const std::string& path, const std::string& window,
     ROC_CHECK_SHARED_WRITE(&started_files_, "rochdf.started_files");
     first = started_files_.insert(path).second;
   }
-  if (first) m_files_written_.increment();
-  shdf::Writer w = first ? shdf::Writer(fs_, path, options_.directory)
-                         : shdf::Writer::append(fs_, path);
+  if (first) ++files_written_;
+  // The paper's Rochdf writes HDF4; the linear directory reproduces that.
+  shdf::Writer w = first
+                       ? shdf::Writer(fs_, path, shdf::DirectoryKind::kLinear)
+                       : shdf::Writer::append(fs_, path);
   for (const Pane* p : panes) {
-    roccom::write_block(w, window, *p->block, attribute, time,
-                        options_.codec);
-    m_blocks_written_.increment();
+    roccom::write_block(w, window, *p->block, attribute, time);
+    ++blocks_written_;
   }
   w.close();
 }
@@ -90,14 +85,13 @@ void Rochdf::write_job(const Job& job) {
   telemetry::ScopedTraceContext adopt(job.ctx);
   ROC_TRACE_SPAN_D("rochdf", "snapshot.background", job.base);
   telemetry::watchdog::beat("rochdf.writer", kWriterDeadlineSeconds);
-  const double t0 = telemetry::now();
   bool first;
   {
     comm::GateLock lock(*gate_);
     ROC_CHECK_SHARED_WRITE(&started_files_, "rochdf.started_files");
     first = started_files_.insert(job.file).second;
   }
-  if (first) m_files_written_.increment();
+  if (first) ++files_written_;
   if (writer_ && open_path_ != job.file) {
     writer_->close();
     writer_.reset();
@@ -105,7 +99,7 @@ void Rochdf::write_job(const Job& job) {
   if (!writer_) {
     if (first)
       writer_ = std::make_unique<shdf::Writer>(fs_, job.file,
-                                               options_.directory);
+                                               shdf::DirectoryKind::kLinear);
     else
       writer_ = std::make_unique<shdf::Writer>(
           shdf::Writer::append(fs_, job.file));
@@ -118,10 +112,9 @@ void Rochdf::write_job(const Job& job) {
     // Pass-through: dataset payloads stream straight from the buffered
     // wire bytes; no MeshBlock is reconstructed.
     rocpanda::WireBlockView::parse(b).write_to(*writer_, job.window,
-                                               job.time, options_.codec);
-    m_blocks_written_.increment();
+                                               job.time);
+    ++blocks_written_;
   }
-  m_write_seconds_.observe(telemetry::now() - t0);
 }
 
 void Rochdf::worker_loop() {
@@ -162,30 +155,17 @@ void Rochdf::worker_loop() {
   gate_->unlock();
 }
 
-void Rochdf::wait_file_complete(const std::string& file) {
-  comm::GateLock lock(*gate_);
-  bool waited = false;
-  ROC_CHECK_SHARED_READ(&pending_, "rochdf.pending");
-  ROC_CHECK_SHARED_READ(&open_file_, "rochdf.open_file");
-  while (pending_.count(file) > 0 || open_file_ == file) {
-    waited = true;
-    gate_->wait();
-  }
-  if (waited) m_snapshot_waits_.increment();
-}
-
 void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
   // The whole call is this rank's *perceived* snapshot cost: for Rochdf
   // the actual disk write, for T-Rochdf the marshal plus any
   // block-on-previous-snapshot wait (timeline.h separates the two).
   ROC_TRACE_SPAN_D("rochdf", "snapshot.perceived", req.file);
-  const double t0 = telemetry::now();
   const roccom::Window& w = com.window(req.window);
   const auto& panes = w.panes();
   const std::string path =
       proc_file(options_.file_prefix, req.file, comm_.rank());
 
-  m_write_calls_.increment();
+  ++write_calls_;
 
   if (!options_.threaded) {
     // Synchronous write on the caller's thread: background-tagged so the
@@ -193,18 +173,17 @@ void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
     // inside the perceived span — nothing is hidden.
     ROC_TRACE_SPAN_D("rochdf", "snapshot.background", req.file);
     write_now(path, req.window, req.attribute, req.time, panes);
-    m_write_seconds_.observe(telemetry::now() - t0);
     return;
   }
 
   // T-Rochdf: at most one snapshot in flight (paper §6.2).
+  bool waited = false;
   {
     comm::GateLock lock(*gate_);
     ROC_CHECK_SHARED_READ(&current_snapshot_, "rochdf.current_snapshot");
     if (current_snapshot_ != req.file && !current_snapshot_.empty()) {
       const std::string prev =
           proc_file(options_.file_prefix, current_snapshot_, comm_.rank());
-      bool waited = false;
       {
         ROC_TRACE_SPAN_D("rochdf", "snapshot.wait_previous", req.file);
         ROC_CHECK_SHARED_READ(&pending_, "rochdf.pending");
@@ -214,11 +193,11 @@ void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
           gate_->wait();
         }
       }
-      if (waited) m_snapshot_waits_.increment();
     }
     ROC_CHECK_SHARED_WRITE(&current_snapshot_, "rochdf.current_snapshot");
     current_snapshot_ = req.file;
   }
+  if (waited) ++snapshot_waits_;  // atomic: counted off the gate
 
   // Buffer: marshal each pane into a pooled wire-format buffer (the one
   // copy) so the caller can reuse its blocks immediately.
@@ -241,14 +220,13 @@ void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
     env_.charge_local_copy(bytes);
   }
 
-  m_bytes_buffered_.add(bytes);
+  bytes_buffered_ += bytes;
   comm::GateLock lock(*gate_);
   ROC_CHECK_SHARED_WRITE(&queue_, "rochdf.queue");
   queue_.push_back(std::move(job));
   ROC_CHECK_SHARED_WRITE(&pending_, "rochdf.pending");
   ++pending_[path];
   gate_->notify_all();
-  m_write_seconds_.observe(telemetry::now() - t0);
 }
 
 void Rochdf::sync() {
@@ -334,11 +312,11 @@ Stats Rochdf::stats() const {
   // seq_cst increments mean a concurrent reader can never observe an
   // effect whose cause is missing (race_test's ordering invariant).
   Stats s;
-  s.blocks_written = m_blocks_written_.value();
-  s.bytes_buffered = m_bytes_buffered_.value();
-  s.files_written = m_files_written_.value();
-  s.snapshot_waits = m_snapshot_waits_.value();
-  s.write_calls = m_write_calls_.value();
+  s.blocks_written = blocks_written_;
+  s.bytes_buffered = bytes_buffered_;
+  s.files_written = files_written_;
+  s.snapshot_waits = snapshot_waits_;
+  s.write_calls = write_calls_;
   return s;
 }
 

@@ -19,6 +19,7 @@
 ///    the set of write requests sharing one file basename);
 ///  * sync() blocks until every buffered write reached the file system.
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
@@ -30,7 +31,6 @@
 #include "roccom/blockio.h"
 #include "roccom/io_service.h"
 #include "shdf/writer.h"
-#include "telemetry/metrics.h"
 #include "vfs/vfs.h"
 
 namespace roc::rochdf {
@@ -38,16 +38,11 @@ namespace roc::rochdf {
 struct Options {
   /// false: baseline Rochdf (synchronous writes).  true: T-Rochdf.
   bool threaded = false;
-  /// The paper's Rochdf writes HDF4; kLinear reproduces that behaviour.
-  shdf::DirectoryKind directory = shdf::DirectoryKind::kLinear;
-  /// Payload filter for field datasets (geometry stays uncompressed).
-  shdf::Codec codec = shdf::Codec::kNone;
   /// Prepended to every file name (e.g. an output directory).
   std::string file_prefix;
 };
 
-/// Cumulative counters (diagnostics and tests): a point-in-time view over
-/// the service's metrics registry (see Rochdf::metrics()).
+/// Cumulative counters (diagnostics and tests), as of one stats() call.
 struct Stats {
   uint64_t write_calls = 0;
   uint64_t blocks_written = 0;
@@ -83,9 +78,6 @@ class Rochdf final : public roccom::IoService {
   /// Counter snapshot, safe against the concurrent background writer.
   [[nodiscard]] Stats stats() const;
 
-  /// The service's instance-local metrics (counters named `rochdf.*`).
-  [[nodiscard]] telemetry::MetricsRegistry& metrics() { return metrics_; }
-
   /// File written by rank `rank` for basename `base`.
   [[nodiscard]] static std::string proc_file(const std::string& prefix,
                                              const std::string& base,
@@ -117,10 +109,6 @@ class Rochdf final : public roccom::IoService {
 
   void worker_loop() ROC_EXCLUDES(gate_);
 
-  /// Blocks (predicate loop on gate_) until no job for `file` is queued or
-  /// being written and the worker's writer for it is closed.
-  void wait_file_complete(const std::string& file) ROC_EXCLUDES(gate_);
-
   comm::Comm& comm_;
   comm::Env& env_;
   vfs::FileSystem& fs_;
@@ -130,15 +118,13 @@ class Rochdf final : public roccom::IoService {
   /// Internally synchronized: the worker returns buffers from its thread.
   BufferPool pool_;
 
-  // Counters behind stats(): registered once, updated lock-free through
-  // the cached handles (the worker increments them off the gate).
-  telemetry::MetricsRegistry metrics_;
-  telemetry::Counter& m_write_calls_;
-  telemetry::Counter& m_blocks_written_;
-  telemetry::Counter& m_bytes_buffered_;
-  telemetry::Counter& m_files_written_;
-  telemetry::Counter& m_snapshot_waits_;
-  telemetry::Histogram& m_write_seconds_;
+  // Counters behind stats(): atomic because the worker increments them
+  // off the gate while stats() may run on another thread.
+  std::atomic<uint64_t> write_calls_{0};
+  std::atomic<uint64_t> blocks_written_{0};
+  std::atomic<uint64_t> bytes_buffered_{0};
+  std::atomic<uint64_t> files_written_{0};
+  std::atomic<uint64_t> snapshot_waits_{0};
 
   // --- worker coordination (threaded mode).  gate_ is the capability the
   // ROC_GUARDED_BY annotations below refer to; gate_storage_ only owns it.

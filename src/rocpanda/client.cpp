@@ -21,14 +21,6 @@ RocpandaClient::RocpandaClient(comm::Comm& world, comm::Env& env,
       layout_(layout),
       options_(options),
       server_(layout.server_of_client(world.rank())),
-      m_write_calls_(metrics_.counter("client.write_calls")),
-      m_blocks_sent_(metrics_.counter("client.blocks_sent")),
-      m_bytes_sent_(metrics_.counter("client.bytes_sent")),
-      m_sync_calls_(metrics_.counter("client.sync_calls")),
-      m_blocks_fetched_(metrics_.counter("client.blocks_fetched")),
-      m_bytes_buffered_(metrics_.counter("client.bytes_buffered")),
-      m_backpressure_waits_(metrics_.counter("client.backpressure_waits")),
-      m_write_seconds_(metrics_.histogram("client.write_seconds")),
       gate_storage_(env.make_gate()),
       gate_(gate_storage_.get()) {
   gate_->set_name("rocpanda-client-gate");
@@ -86,8 +78,8 @@ void RocpandaClient::worker_loop() {
       shipping_ = true;
       gate_->unlock();
       ship(job);
-      m_bytes_sent_.add(job.bytes);
-      m_blocks_sent_.add(job.blocks.size());
+      bytes_sent_ += job.bytes;
+      blocks_sent_ += job.blocks.size();
       gate_->lock();
       shipping_ = false;
       queued_bytes_ -= job.bytes;
@@ -112,7 +104,6 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
   // paper's visible output time); timeline.h groups these by file base.
   ROC_TRACE_SPAN_D("client", "snapshot.perceived", req.file);
   ROC_ASSERT_NO_ALLOC("RocpandaClient::write_attribute");
-  const double t0 = telemetry::now();
   const roccom::Window& w = com.window(req.window);
   const auto& panes = w.panes();
 
@@ -127,7 +118,7 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
   const telemetry::TraceContext trace_ctx = telemetry::current_trace_context();
   h.trace_id = trace_ctx.trace_id;
   h.span_id = trace_ctx.span_id;
-  m_write_calls_.increment();
+  ++write_calls_;
 
   if (worker_) {
     // Hierarchy mode: marshal into the local buffer and return; the
@@ -157,20 +148,24 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
         job.blocks.push_back(std::move(bytes));
       }
     }
-    comm::GateLock lock(*gate_);
-    while (queued_bytes_ + job.bytes > options_.client_buffer_capacity &&
-           (!queue_.empty() || shipping_)) {
-      ROC_TRACE_SPAN("client", "backpressure");
-      m_backpressure_waits_.increment();
-      gate_->wait();
+    // The counters are atomics, updated off the gate.
+    bytes_buffered_ += job.bytes;
+    uint64_t waits = 0;
+    {
+      comm::GateLock lock(*gate_);
+      while (queued_bytes_ + job.bytes > options_.client_buffer_capacity &&
+             (!queue_.empty() || shipping_)) {
+        ROC_TRACE_SPAN("client", "backpressure");
+        ++waits;
+        gate_->wait();
+      }
+      queued_bytes_ += job.bytes;
+      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: amortised job-queue
+      // growth; payloads are moved references.
+      queue_.push_back(std::move(job));
+      gate_->notify_all();
     }
-    queued_bytes_ += job.bytes;
-    m_bytes_buffered_.add(job.bytes);
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: amortised job-queue growth;
-    // payloads are moved references.
-    queue_.push_back(std::move(job));
-    gate_->notify_all();
-    m_write_seconds_.observe(telemetry::now() - t0);
+    backpressure_waits_ += waits;
     return;
   }
 
@@ -197,10 +192,9 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
 
     // Visible cost ends when the server confirms everything is buffered.
     (void)world_.recv(server_, kTagWriteAck);
-    m_bytes_sent_.add(sent_bytes);
-    m_blocks_sent_.add(panes.size());
+    bytes_sent_ += sent_bytes;
+    blocks_sent_ += panes.size();
   }
-  m_write_seconds_.observe(telemetry::now() - t0);
 }
 
 void RocpandaClient::sync() {
@@ -208,7 +202,7 @@ void RocpandaClient::sync() {
   drain_local();  // everything locally buffered must reach the server first
   world_.signal(server_, kTagSyncReq);
   (void)world_.recv(server_, kTagSyncAck);
-  m_sync_calls_.increment();
+  ++sync_calls_;
 }
 
 ClientStats RocpandaClient::stats() const {
@@ -216,13 +210,13 @@ ClientStats RocpandaClient::stats() const {
   // seq_cst increments mean a concurrent reader can never observe an
   // effect whose cause is missing.
   ClientStats s;
-  s.blocks_fetched = m_blocks_fetched_.value();
-  s.bytes_buffered = m_bytes_buffered_.value();
-  s.backpressure_waits = m_backpressure_waits_.value();
-  s.blocks_sent = m_blocks_sent_.value();
-  s.bytes_sent = m_bytes_sent_.value();
-  s.sync_calls = m_sync_calls_.value();
-  s.write_calls = m_write_calls_.value();
+  s.blocks_fetched = blocks_fetched_;
+  s.bytes_buffered = bytes_buffered_;
+  s.backpressure_waits = backpressure_waits_;
+  s.blocks_sent = blocks_sent_;
+  s.bytes_sent = bytes_sent_;
+  s.sync_calls = sync_calls_;
+  s.write_calls = write_calls_;
   return s;
 }
 
@@ -250,7 +244,7 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
     blocks.push_back(
         mesh::MeshBlock::deserialize(msg.payload.data(), msg.payload.size()));
   }
-  m_blocks_fetched_.add(count);
+  blocks_fetched_ += count;
 
   if (count != pane_ids.size()) {
     std::string missing;

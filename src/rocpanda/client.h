@@ -14,6 +14,7 @@
 /// restarting with a different number of servers (or clients) than the
 /// writing run works (paper §4.1).
 
+#include <atomic>
 #include <deque>
 
 #include "util/thread_annotations.h"
@@ -22,7 +23,6 @@
 #include "comm/env.h"
 #include "roccom/io_service.h"
 #include "rocpanda/layout.h"
-#include "telemetry/metrics.h"
 
 namespace roc::rocpanda {
 
@@ -41,8 +41,7 @@ struct ClientOptions {
   uint64_t client_buffer_capacity = UINT64_MAX;
 };
 
-/// Client-side counters: a point-in-time view over the client's metrics
-/// registry (see RocpandaClient::metrics()).
+/// Client-side counters, as of one stats() call.
 struct ClientStats {
   uint64_t write_calls = 0;
   uint64_t blocks_sent = 0;
@@ -79,12 +78,9 @@ class RocpandaClient final : public roccom::IoService {
   /// the destructor if not called explicitly.
   void shutdown();
 
-  /// Snapshot of the counters, assembled from the metrics registry.  Safe
-  /// to call concurrently with writes from the background worker.
+  /// Snapshot of the counters.  Safe to call concurrently with writes from
+  /// the background worker.
   [[nodiscard]] ClientStats stats() const;
-
-  /// The client's instance-local metrics (counters named `client.*`).
-  [[nodiscard]] telemetry::MetricsRegistry& metrics() { return metrics_; }
 
  private:
   [[nodiscard]] std::vector<mesh::MeshBlock> fetch_internal(
@@ -126,17 +122,15 @@ class RocpandaClient final : public roccom::IoService {
   /// write_attribute (the chain is consumed before the call returns).
   BufferChain scratch_chain_;
 
-  // Counters behind stats(): registered once, updated lock-free through
-  // the cached handles.  See DESIGN.md "Telemetry" for the naming scheme.
-  telemetry::MetricsRegistry metrics_;
-  telemetry::Counter& m_write_calls_;
-  telemetry::Counter& m_blocks_sent_;
-  telemetry::Counter& m_bytes_sent_;
-  telemetry::Counter& m_sync_calls_;
-  telemetry::Counter& m_blocks_fetched_;
-  telemetry::Counter& m_bytes_buffered_;
-  telemetry::Counter& m_backpressure_waits_;
-  telemetry::Histogram& m_write_seconds_;
+  // Counters behind stats(): atomic because the background worker
+  // increments them while stats() may run on another thread.
+  std::atomic<uint64_t> write_calls_{0};
+  std::atomic<uint64_t> blocks_sent_{0};
+  std::atomic<uint64_t> bytes_sent_{0};
+  std::atomic<uint64_t> sync_calls_{0};
+  std::atomic<uint64_t> blocks_fetched_{0};
+  std::atomic<uint64_t> bytes_buffered_{0};
+  std::atomic<uint64_t> backpressure_waits_{0};
 
   // --- client-side buffering (hierarchy mode).  gate_ is the capability
   // the ROC_GUARDED_BY annotations refer to; gate_storage_ only owns it.

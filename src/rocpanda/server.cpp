@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <optional>
 #include <map>
 #include <set>
 
@@ -11,7 +10,6 @@
 #include "rocpanda/wire.h"
 #include "shdf/reader.h"
 #include "shdf/writer.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "telemetry/watchdog.h"
 #include "util/check_hooks.h"
@@ -36,6 +34,9 @@ namespace {
 /// (same clock domain as telemetry::now()).
 constexpr double kWriterDeadlineSeconds = 30.0;
 
+/// CPU burnt per poll by the spinning idle probe (ablation A4).
+constexpr double kIdlePollInterval = 100e-6;
+
 /// Request-wide metadata, built once per WriteBegin and shared by reference
 /// by every block of the request: the per-block receive path stays free of
 /// string copies (rocanalyze R8, hot-path allocation discipline).
@@ -51,9 +52,9 @@ struct RequestMeta {
 struct BufferedItem {
   std::shared_ptr<const RequestMeta> meta;  ///< Shared, not copied.
   SharedBuffer wire_bytes;  ///< Serialized WireBlock, as received.
-  /// Parsed header view over wire_bytes (pass-through mode only); its
-  /// payloads are written without reconstructing a MeshBlock.
-  std::optional<WireBlockView> view;
+  /// Parsed header view over wire_bytes; its payloads are written without
+  /// reconstructing a MeshBlock.
+  WireBlockView view;
 };
 
 /// Per-client state of an in-progress write request.
@@ -74,32 +75,7 @@ class Server {
         layout_(layout),
         opts_(options),
         my_index_(layout.server_index(world.rank())),
-        clients_(layout.clients_of_server(world.rank())),
-        m_blocks_received_(metrics_.counter("server.blocks_received")),
-        m_blocks_written_(metrics_.counter("server.blocks_written")),
-        m_bytes_received_(metrics_.counter("server.bytes_received")),
-        m_spills_(metrics_.counter("server.spills")),
-        m_files_created_(metrics_.counter("server.files_created")),
-        m_sync_requests_(metrics_.counter("server.sync_requests")),
-        m_read_sessions_(metrics_.counter("server.read_sessions")),
-        m_buffered_bytes_peak_(metrics_.gauge("server.buffered_bytes_peak")),
-        m_write_seconds_(metrics_.histogram("server.write_seconds")) {}
-
-  /// The returned struct is a view over the server's metrics registry,
-  /// assembled once the serve loop exits.
-  ServerStats stats() const {
-    ServerStats s;
-    s.blocks_received = m_blocks_received_.value();
-    s.blocks_written = m_blocks_written_.value();
-    s.bytes_received = m_bytes_received_.value();
-    s.buffered_bytes_peak =
-        static_cast<uint64_t>(m_buffered_bytes_peak_.value());
-    s.spills = m_spills_.value();
-    s.files_created = m_files_created_.value();
-    s.sync_requests = m_sync_requests_.value();
-    s.read_sessions = m_read_sessions_.value();
-    return s;
-  }
+        clients_(layout.clients_of_server(world.rank())) {}
 
   ServerStats run() {
     size_t shutdowns_remaining = clients_.size();
@@ -150,7 +126,7 @@ class Server {
             st = world_.probe(comm::kAnySource, comm::kAnyTag);
           } else {
             while (!world_.iprobe(comm::kAnySource, comm::kAnyTag, &st))
-              env_.compute(opts_.idle_poll_interval);
+              env_.compute(kIdlePollInterval);
           }
         }
         if (handle_message(st)) --shutdowns_remaining;
@@ -165,7 +141,7 @@ class Server {
       }
     }
     close_writer();
-    return stats();
+    return stats_;
   }
 
  private:
@@ -208,16 +184,15 @@ class Server {
         // Dispatch under the sender's context: buffering/overflow spans
         // become children of the client's ship span (cross-thread edge).
         telemetry::ScopedTraceContext adopt(msg.ctx);
-        m_blocks_received_.increment();
-        m_bytes_received_.add(msg.payload.size());
+        ++stats_.blocks_received;
+        stats_.bytes_received += msg.payload.size();
 
         BufferedItem item;
         item.meta = ctx.meta;  // shared reference, no string copies
         item.wire_bytes = std::move(msg.payload);
-        // Parse the header up front: malformed blocks fail at receive time
-        // in both modes, and the view is what write_item streams from.
-        if (opts_.pass_through)
-          item.view = WireBlockView::parse(item.wire_bytes);
+        // Parse the header up front: malformed blocks fail at receive time,
+        // and the view is what write_item streams from.
+        item.view = WireBlockView::parse(item.wire_bytes);
 
         if (opts_.active_buffering) {
           buffer_item(std::move(item));
@@ -232,7 +207,7 @@ class Server {
       }
       case kTagSyncReq: {
         (void)world_.recv(st.source, kTagSyncReq);
-        m_sync_requests_.increment();
+        ++stats_.sync_requests;
         // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: per-request (not per-block) deferred-collective bookkeeping, bounded by client count.
         pending_syncs_.insert(st.source);  // deferred (see run())
         return false;
@@ -278,17 +253,18 @@ class Server {
            !buffer_.empty()) {
       ROC_TRACE_INSTANT("server", "spill");
       write_one_buffered();
-      m_spills_.increment();
+      ++stats_.spills;
     }
     if (bytes > opts_.buffer_capacity) {
       // A single block larger than the whole buffer: write it through.
       ROC_TRACE_INSTANT("server", "spill");
       write_item(item);
-      m_spills_.increment();
+      ++stats_.spills;
       return;
     }
     buffered_bytes_ += bytes;
-    m_buffered_bytes_peak_.record_peak(static_cast<int64_t>(buffered_bytes_));
+    stats_.buffered_bytes_peak =
+        std::max(stats_.buffered_bytes_peak, buffered_bytes_);
     // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: amortised buffer-table
     // growth; the item holds references, not byte copies.
     buffer_.push_back(std::move(item));
@@ -315,9 +291,11 @@ class Server {
       // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file, not
       // per block (file-tracking bookkeeping and Writer construction).
       if (started_files_.insert(path).second) {
+        // The paper writes HDF4; the linear directory reproduces that.
         // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
-        writer_ = std::make_unique<shdf::Writer>(fs_, path, opts_.directory);
-        m_files_created_.increment();
+        writer_ = std::make_unique<shdf::Writer>(
+            fs_, path, shdf::DirectoryKind::kLinear);
+        ++stats_.files_created;
       } else {
         // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per re-opened file.
         writer_ = std::make_unique<shdf::Writer>(
@@ -347,24 +325,13 @@ class Server {
     ROC_TRACE_SPAN_D("server", "snapshot.background", meta.header.file);
     telemetry::watchdog::beat("server.background_writer",
                               kWriterDeadlineSeconds);
-    const double t0 = telemetry::now();
     ensure_writer(meta.path);
-    if (item.view) {
-      // Pass-through: dataset payloads stream from the retained wire
-      // bytes; no MeshBlock, no re-marshalling.  The server-retained
-      // scratch makes steady-state writes allocation-free.
-      item.view->write_to(*writer_, meta.header.window, meta.header.time,
-                          opts_.codec, &write_scratch_);
-    } else {
-      // Legacy materialising ablation path (pass_through=false), kept as
-      // the reference the zero-copy path is tested against.
-      // ROCANALYZE-ALLOW(r9-copy-discipline,r8-hotpath-alloc): why: legacy ablation reference path.
-      const WireBlock wb = WireBlock::deserialize(item.wire_bytes.to_vector());
-      wb.write_to(*writer_, meta.header.window, meta.header.time,
-                  opts_.codec);
-    }
-    m_blocks_written_.increment();
-    m_write_seconds_.observe(telemetry::now() - t0);
+    // Pass-through: dataset payloads stream from the retained wire bytes;
+    // no MeshBlock, no re-marshalling.  The server-retained scratch makes
+    // steady-state writes allocation-free.
+    item.view.write_to(*writer_, meta.header.window, meta.header.time,
+                       &write_scratch_);
+    ++stats_.blocks_written;
   }
 
   // --- restart (collective read) -------------------------------------------
@@ -391,7 +358,7 @@ class Server {
   /// Processes the collective read once every client's ReadHeader is in
   /// pending_reads_.
   void handle_read() {
-    m_read_sessions_.increment();
+    ++stats_.read_sessions;
     const ReadHeader& first = pending_reads_.begin()->second;
     ROC_TRACE_SPAN_D("server", "restart.read", first.file);
     // Reads must see every prior write.
@@ -552,21 +519,11 @@ class Server {
   std::string open_path_;
   std::set<std::string> started_files_;
   /// Per-dataset name/def/chain storage recycled across all blocks the
-  /// background writer streams out (pass-through mode).
+  /// background writer streams out.
   WriteScratch write_scratch_;
 
-  // Counters behind stats(): the server loop is single-threaded, but the
-  // registry keeps the naming/export machinery uniform across components.
-  telemetry::MetricsRegistry metrics_;
-  telemetry::Counter& m_blocks_received_;
-  telemetry::Counter& m_blocks_written_;
-  telemetry::Counter& m_bytes_received_;
-  telemetry::Counter& m_spills_;
-  telemetry::Counter& m_files_created_;
-  telemetry::Counter& m_sync_requests_;
-  telemetry::Counter& m_read_sessions_;
-  telemetry::Gauge& m_buffered_bytes_peak_;
-  telemetry::Histogram& m_write_seconds_;
+  /// Returned by run(); only the serve-loop thread touches it.
+  ServerStats stats_;
 };
 
 }  // namespace

@@ -19,11 +19,11 @@
 /// uses the non-blocking probe between writes.
 
 #include <cstdint>
+#include <string>
 
 #include "comm/comm.h"
 #include "comm/env.h"
 #include "rocpanda/layout.h"
-#include "shdf/format.h"
 #include "vfs/vfs.h"
 
 namespace roc::rocpanda {
@@ -36,24 +36,10 @@ struct ServerOptions {
   /// Buffer capacity in payload bytes; overflow triggers spilling.
   uint64_t buffer_capacity = UINT64_MAX;
 
-  /// Directory engine of the files written (the paper writes HDF4).
-  shdf::DirectoryKind directory = shdf::DirectoryKind::kLinear;
-
-  /// Payload filter for field datasets (geometry stays uncompressed).
-  shdf::Codec codec = shdf::Codec::kNone;
-
-  /// Pass-through writes: buffered blocks are kept as the received wire
-  /// bytes plus a parsed header view, and their payloads are streamed from
-  /// those bytes straight into the file (one gather write per dataset).
-  /// false (ablation): each block is materialised into a MeshBlock and
-  /// re-marshalled on write — the legacy copying path.
-  bool pass_through = true;
-
   /// false (ablation A4): when idle the server spins on the non-blocking
-  /// probe, burning `idle_poll_interval` of CPU per poll, instead of
-  /// blocking and freeing the CPU.
+  /// probe, burning 100 µs of CPU per poll, instead of blocking and
+  /// freeing the CPU.
   bool blocking_probe_when_idle = true;
-  double idle_poll_interval = 100e-6;
 
   /// Prepended to every file name (e.g. an output directory).
   std::string file_prefix;

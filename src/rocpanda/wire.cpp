@@ -324,8 +324,9 @@ std::vector<unsigned char> WireBlock::serialize() const {
       .to_vector();
 }
 
-// ROC_COLD: the materialising deserialize is the legacy (pass_through=false)
-// ablation path; the hot receive path keeps WireBlockView over wire bytes.
+// ROC_COLD: the materialising deserialize is the reference the zero-copy
+// path is tested against; the server's receive path keeps a WireBlockView
+// over the wire bytes instead.
 ROC_COLD WireBlock WireBlock::deserialize(
     const std::vector<unsigned char>& bytes) {
   const Parsed p = parse_wire(bytes.data(), bytes.size());
@@ -380,10 +381,10 @@ ROC_COLD WireBlock WireBlock::deserialize(
 // ROC_COLD: companion of the legacy deserialize above -- writes from a
 // materialised WireBlock; the hot path uses WireBlockView::write_to.
 ROC_COLD void WireBlock::write_to(shdf::Writer& w, const std::string& window,
-                         double time, shdf::Codec codec) const {
+                                  double time) const {
   switch (kind_) {
     case Kind::kAll:
-      roccom::write_block(w, window, block_, "all", time, codec);
+      roccom::write_block(w, window, block_, "all", time);
       break;
     case Kind::kMesh:
       roccom::write_block(w, window, block_, "mesh", time);
@@ -391,7 +392,7 @@ ROC_COLD void WireBlock::write_to(shdf::Writer& w, const std::string& window,
     case Kind::kField:
       w.add_dataset(
           roccom::field_def(window, pane_id_, field_.name, field_.centering,
-                            field_.ncomp, field_.data.size(), time, codec),
+                            field_.ncomp, field_.data.size(), time),
           field_.data.data());
       break;
   }
@@ -432,15 +433,13 @@ uint64_t WireBlockView::payload_bytes() const {
 }
 
 void WireBlockView::write_to(shdf::Writer& w, const std::string& window,
-                             double time, shdf::Codec codec,
-                             WriteScratch* scratch) const {
+                             double time, WriteScratch* scratch) const {
   if constexpr (!roc::detail::kHostLittleEndian) {
     // Big-endian hosts cannot alias the little-endian wire payloads;
     // fall back to the materialising path.
     // ROCANALYZE-ALLOW(r9-copy-discipline): why: big-endian fallback only;
     // little-endian hosts take the zero-copy path below.
-    WireBlock::deserialize(wire_.to_vector()).write_to(w, window, time,
-                                                       codec);
+    WireBlock::deserialize(wire_.to_vector()).write_to(w, window, time);
     return;
   }
   // The scratch (prefix string, dataset def, payload chain) is rebuilt in
@@ -458,7 +457,7 @@ void WireBlockView::write_to(shdf::Writer& w, const std::string& window,
   if (kind_ == 2) {
     const Section& s = sections_[0];
     roccom::field_def_into(sc.prefix, s.name, s.centering, s.ncomp, s.count,
-                           time, codec, sc.def);
+                           time, sc.def);
     put(s, sc.def);
     return;
   }
@@ -475,7 +474,7 @@ void WireBlockView::write_to(shdf::Writer& w, const std::string& window,
   for (; next < sections_.size(); ++next) {
     const Section& s = sections_[next];
     roccom::field_def_into(sc.prefix, s.name, s.centering, s.ncomp, s.count,
-                           time, codec, sc.def);
+                           time, sc.def);
     put(s, sc.def);
   }
 }

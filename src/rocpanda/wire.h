@@ -116,8 +116,8 @@ class WireBlock {
 
   /// Writes this block's datasets into `w` under `window` (the same layout
   /// contract as roccom::write_block).
-  void write_to(shdf::Writer& w, const std::string& window, double time,
-                shdf::Codec codec = shdf::Codec::kNone) const;
+  void write_to(shdf::Writer& w, const std::string& window,
+                double time) const;
 
  private:
   friend class WireBlockView;
@@ -150,7 +150,7 @@ struct WriteScratch {
 /// Non-materialising view over one received WireBlock.  parse() reads only
 /// the header; write_to() streams the dataset payloads directly from the
 /// retained wire bytes (which the view keeps alive) into the writer —
-/// the server's pass-through mode.
+/// the server's pass-through path.
 class WireBlockView {
  public:
   /// Parses the header and section table; throws FormatError on malformed
@@ -168,7 +168,6 @@ class WireBlockView {
   /// caller-retained `scratch` makes steady-state writes allocation-free;
   /// with null a call-local scratch is used.
   void write_to(shdf::Writer& w, const std::string& window, double time,
-                shdf::Codec codec = shdf::Codec::kNone,
                 WriteScratch* scratch = nullptr) const;
 
  private:

@@ -4,12 +4,10 @@
 
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "telemetry/clock.h"
 #include "telemetry/flight.h"
-#include "telemetry/metrics.h"
 #include "util/log.h"
 #include "util/mutex.h"
 #include "util/thread.h"
@@ -40,8 +38,6 @@ struct Slot {
   std::atomic<std::uint64_t> deadline_bits{0};
   std::atomic<bool> live{false};
   std::atomic<bool> missed{false};
-  Gauge* age_gauge = nullptr;       // set before `name` is published
-  Gauge* deadline_gauge = nullptr;
 };
 
 struct Table {
@@ -53,16 +49,6 @@ struct Table {
 Table& table() {
   static Table* t = new Table;  // leaked: outlives all threads
   return *t;
-}
-
-Counter& beats_counter() {
-  static Counter& c = global().counter("telemetry.watchdog.beats");
-  return c;
-}
-
-Counter& missed_counter() {
-  static Counter& c = global().counter("telemetry.watchdog.missed");
-  return c;
 }
 
 Slot* find_slot(const char* name) {
@@ -86,12 +72,6 @@ Slot* find_or_register(const char* name) {
   const int idx = t.count.load(std::memory_order_relaxed);
   if (idx >= kMaxSlots) return nullptr;
   Slot& s = t.slots[idx];
-  const std::string prefix = std::string("telemetry.watchdog.") + name;
-  // The gauge names are assembled from the heartbeat id, which follows
-  // the same lowercase-dotted grammar.  LINT-ALLOW(metric-name)
-  s.age_gauge = &global().gauge(prefix + ".age_seconds");
-  // LINT-ALLOW(metric-name): assembled from the heartbeat id (see above).
-  s.deadline_gauge = &global().gauge(prefix + ".deadline_seconds");
   s.name.store(name, std::memory_order_release);
   t.count.store(idx + 1, std::memory_order_release);
   return &s;
@@ -120,10 +100,8 @@ void beat(const char* name, double deadline_s) {
   const double t = telemetry::now();
   s->last_beat_bits.store(to_bits(t), std::memory_order_relaxed);
   s->deadline_bits.store(to_bits(deadline_s), std::memory_order_relaxed);
-  s->deadline_gauge->set(deadline_s);
   s->missed.store(false, std::memory_order_relaxed);
   s->live.store(true, std::memory_order_release);
-  beats_counter().add(1);
 }
 
 void retire(const char* name) {
@@ -147,14 +125,12 @@ int poll() {
     const double deadline = from_bits(
         s.deadline_bits.load(std::memory_order_relaxed));
     const double age = now_s - last;
-    s.age_gauge->set(age);
     if (age <= deadline) {
       s.missed.store(false, std::memory_order_relaxed);
       continue;
     }
     ++overdue;
     if (!s.missed.exchange(true, std::memory_order_relaxed)) {
-      missed_counter().add(1);
       flight::record(flight::EventKind::kWatchdog, "watchdog", "missed",
                      now_s, 0, name);
       ROC_ERROR << "watchdog: heartbeat '" << name << "' overdue: "

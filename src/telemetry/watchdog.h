@@ -1,8 +1,7 @@
 #pragma once
 /// \file watchdog.h
 /// \brief Stall watchdog: named heartbeats with deadlines; a missed beat
-/// fires a flight-recorder dump and telemetry.watchdog.* counters instead
-/// of a silent hang.
+/// fires a flight-recorder dump instead of a silent hang.
 ///
 /// Long-running loops register liveness by calling
 ///
@@ -11,12 +10,10 @@
 /// every iteration.  poll() compares each live heartbeat's age against its
 /// deadline on the telemetry clock (real or virtual); the first poll that
 /// finds a heartbeat overdue
-///   * increments the `telemetry.watchdog.missed` counter,
 ///   * records a kWatchdog flight event and dumps the flight recorder,
 ///   * logs at error level,
 /// and then stays quiet until the heartbeat recovers (one alarm per
-/// stall).  Per-heartbeat `telemetry.watchdog.<name>.age_seconds` and
-/// `.deadline_seconds` gauges expose the live state in metric snapshots.
+/// stall).
 ///
 /// poll() is passive so the mechanism works identically under the virtual
 /// clock (tests/sims call it at points of their choosing); start() spawns
@@ -60,8 +57,7 @@ int poll();
 void start(double interval_s);
 void stop();
 
-/// Drops all heartbeat registrations (gauges keep their last values).
-/// Test isolation only.
+/// Drops all heartbeat registrations.  Test isolation only.
 void reset_for_testing();
 
 [[nodiscard]] std::size_t heartbeat_count();

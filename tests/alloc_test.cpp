@@ -205,11 +205,11 @@ TEST(ZeroAllocPipeline, PassThroughWriteSteadyStateIsSilent) {
   rocpanda::WriteScratch scratch;
   vfs::MemFileSystem fs;
   shdf::Writer w(fs, "f");
-  view.write_to(w, "wa0", 0.0, shdf::Codec::kNone, &scratch);  // warm
+  view.write_to(w, "wa0", 0.0, &scratch);  // warm
   void* tok = check::alloc_scope_enter("ZeroAllocPipeline::pass_through");
   const uint64_t c0 = check::thread_charged_allocs();
-  view.write_to(w, "wa1", 0.0, shdf::Codec::kNone, &scratch);
-  view.write_to(w, "wa2", 0.0, shdf::Codec::kNone, &scratch);
+  view.write_to(w, "wa1", 0.0, &scratch);
+  view.write_to(w, "wa2", 0.0, &scratch);
   const uint64_t charged = check::thread_charged_allocs() - c0;
   check::alloc_scope_exit(tok);
   EXPECT_EQ(charged, 0u);

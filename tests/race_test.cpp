@@ -3,8 +3,9 @@
 /// ThreadSanitizer (-DROCPIO_SANITIZE=thread).  They pass under any build,
 /// but their value is the interleavings they provoke: mailbox traffic from
 /// many ranks at once, communicator splits racing with point-to-point
-/// messages, T-Rochdf snapshot back-pressure with a concurrent stats()
-/// reader, MemFileSystem directory churn, and the logger.
+/// messages, T-Rochdf snapshot back-pressure and Rocpanda hierarchy-mode
+/// shipping with a concurrent stats() reader, MemFileSystem directory
+/// churn, and the logger.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,9 @@
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
 #include "rochdf/rochdf.h"
-#include "telemetry/metrics.h"
+#include "rocpanda/client.h"
+#include "rocpanda/layout.h"
+#include "rocpanda/server.h"
 #include "telemetry/trace.h"
 #include "util/log.h"
 #include "util/thread.h"
@@ -221,46 +224,55 @@ TEST(RaceTest, BufferPoolChurn) {
   EXPECT_GT(st.returns + st.discards, 0u);
 }
 
-/// Sharded counters, a peak gauge and a histogram hammered from four
-/// threads while a fifth continuously snapshots the registry (value(),
-/// to_text(), snapshot()).  Under TSan this covers the per-shard atomics,
-/// the CAS-max loop and the registry mutex from every side; the final
-/// totals check that no increment was lost.
-TEST(RaceTest, MetricsHammer) {
-  telemetry::MetricsRegistry reg;
-  telemetry::Counter& c = reg.counter("race.increments");
-  telemetry::Gauge& g = reg.gauge("race.peak");
-  telemetry::Histogram& h = reg.histogram("race.values_seconds");
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 2000;
-
-  std::atomic<bool> done{false};
-  roc::Thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      EXPECT_LE(c.value(), kThreads * kPerThread);
-      EXPECT_LE(h.snapshot().count, kThreads * kPerThread);
-      (void)reg.to_text();
+/// Rocpanda hierarchy mode: each client's background worker ships the
+/// buffered snapshots (incrementing blocks_sent/bytes_sent) while the
+/// client thread keeps buffering more and a third thread polls stats() the
+/// whole time.  Under TSan this covers the client's counters from three
+/// threads at once; the final totals check that no increment was lost.
+TEST(RaceTest, ClientStatsPolledDuringHierarchyShipping) {
+  vfs::MemFileSystem fs;
+  constexpr int kSnapshots = 6;
+  World::run(3, [&](Comm& world) {
+    comm::RealEnv env;
+    const rocpanda::Layout layout(world.size(), 1);
+    const bool server = layout.is_server(world.rank());
+    auto local = world.split(server ? 1 : 0, world.rank());
+    if (server) {
+      (void)rocpanda::run_server(world, *local, env, fs, layout, {});
+      return;
     }
-  });
+    rocpanda::ClientOptions opts;
+    opts.client_buffering = true;
+    rocpanda::RocpandaClient client(world, env, layout, opts);
+    Roccom com;
+    auto& w = com.create_window("fluid");
+    auto b1 = make_block(local->rank() * 2, 10);
+    auto b2 = make_block(local->rank() * 2 + 1, 10);
+    w.register_pane(b1.id(), &b1);
+    w.register_pane(b2.id(), &b2);
 
-  std::vector<roc::Thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.increment();
-        g.record_peak(static_cast<std::int64_t>(t * kPerThread + i));
-        h.observe(static_cast<double>(i) * 1e-6);
+    std::atomic<bool> done{false};
+    roc::Thread poller([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const auto s = client.stats();
+        EXPECT_LE(s.blocks_sent, s.write_calls * 2);
       }
     });
-  }
-  for (auto& t : threads) t.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
 
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
-  EXPECT_EQ(g.value(), static_cast<std::int64_t>(kThreads * kPerThread) - 1);
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, kThreads * kPerThread);
+    for (int snap = 0; snap < kSnapshots; ++snap)
+      client.write_attribute(
+          com, IoRequest{"fluid", "all", "ship_" + std::to_string(snap),
+                         static_cast<double>(snap)});
+    client.sync();
+    done.store(true, std::memory_order_release);
+    poller.join();
+
+    const auto s = client.stats();
+    EXPECT_EQ(s.write_calls, static_cast<uint64_t>(kSnapshots));
+    EXPECT_EQ(s.blocks_sent, static_cast<uint64_t>(kSnapshots) * 2);
+    EXPECT_EQ(s.bytes_sent, s.bytes_buffered);
+    client.shutdown();
+  });
 }
 
 /// Spans and instants recorded from several threads while a collector

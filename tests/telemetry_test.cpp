@@ -1,11 +1,10 @@
 /// \file telemetry_test.cpp
-/// \brief Tests for src/telemetry/: metrics (counter sharding, histogram
-/// "le" bucket edges, registry export), trace spans on the swappable
-/// clock, Chrome-trace JSON well-formedness (checked with a strict JSON
-/// parser), the per-snapshot timeline arithmetic (synthetic traces and the
-/// real T-Rochdf pipeline on the simulator), and the log satellites
-/// (ROC_LOG single evaluation, ScopedLogCapture, the error->instant
-/// mirror).
+/// \brief Tests for src/telemetry/: trace spans on the swappable clock,
+/// Chrome-trace JSON well-formedness (checked with a strict JSON parser),
+/// the per-snapshot timeline arithmetic (synthetic traces and the real
+/// T-Rochdf pipeline on the simulator), the log satellites (ROC_LOG single
+/// evaluation, ScopedLogCapture, the error->instant mirror), and the exact
+/// values of every service's Stats counters.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +19,10 @@
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
 #include "rochdf/rochdf.h"
+#include "rocpanda/client.h"
+#include "rocpanda/layout.h"
+#include "rocpanda/server.h"
+#include "rocpanda/wire.h"
 #include "sim/platform.h"
 #include "sim/sim_comm.h"
 #include "sim/sim_env.h"
@@ -27,7 +30,6 @@
 #include "sim/simulation.h"
 #include "telemetry/clock.h"
 #include "telemetry/flight.h"
-#include "telemetry/metrics.h"
 #include "telemetry/timeline.h"
 #include "telemetry/trace.h"
 #include "telemetry/watchdog.h"
@@ -188,114 +190,6 @@ TEST(JsonCheckerSelf, AcceptsAndRejects) {
   EXPECT_FALSE(JsonChecker::valid(R"({"a": 01})"));     // leading zero
   EXPECT_FALSE(JsonChecker::valid(R"({"a": 1} x)"));    // trailing garbage
   EXPECT_FALSE(JsonChecker::valid(R"("bad \q escape")"));
-}
-
-// --- metrics ----------------------------------------------------------------
-
-TEST(Counter, AddAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.increment();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Gauge, SetAddPeak) {
-  Gauge g;
-  g.set(10);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 7);
-  g.record_peak(5);   // below current max
-  g.record_peak(99);
-  EXPECT_EQ(g.value(), 99);
-  g.record_peak(50);  // peaks never regress
-  EXPECT_EQ(g.value(), 99);
-}
-
-TEST(Histogram, LeBucketEdgesAreInclusive) {
-  Histogram h({1.0, 10.0});
-  h.observe(0.5);    // (-inf, 1]
-  h.observe(1.0);    // (-inf, 1]  -- exactly on the edge
-  h.observe(1.5);    // (1, 10]
-  h.observe(10.0);   // (1, 10]    -- exactly on the edge
-  h.observe(10.5);   // overflow
-  const auto s = h.snapshot();
-  ASSERT_EQ(s.bounds.size(), 2u);
-  ASSERT_EQ(s.counts.size(), 3u);
-  EXPECT_EQ(s.counts[0], 2u);
-  EXPECT_EQ(s.counts[1], 2u);
-  EXPECT_EQ(s.counts[2], 1u);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.sum, 0.5 + 1.0 + 1.5 + 10.0 + 10.5);
-
-  h.reset();
-  const auto z = h.snapshot();
-  EXPECT_EQ(z.count, 0u);
-  EXPECT_DOUBLE_EQ(z.sum, 0.0);
-  for (const auto n : z.counts) EXPECT_EQ(n, 0u);
-}
-
-TEST(Histogram, DefaultBoundsAreSortedAndSpanTheRange) {
-  for (const auto& bounds : {default_time_bounds(), default_size_bounds()}) {
-    ASSERT_GE(bounds.size(), 2u);
-    for (std::size_t i = 1; i < bounds.size(); ++i)
-      EXPECT_LT(bounds[i - 1], bounds[i]);
-  }
-  EXPECT_LE(default_time_bounds().front(), 1e-6);
-  EXPECT_GE(default_time_bounds().back(), 30.0);
-}
-
-TEST(MetricsRegistry, LookupReturnsStableIdentity) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x.count");
-  Counter& b = reg.counter("x.count");
-  EXPECT_EQ(&a, &b);
-  Histogram& h1 = reg.histogram("x.seconds", {1.0, 2.0});
-  Histogram& h2 = reg.histogram("x.seconds", {99.0});  // bounds ignored now
-  EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h1.snapshot().bounds.size(), 2u);
-}
-
-TEST(MetricsRegistry, SnapshotResetAndText) {
-  MetricsRegistry reg;
-  reg.counter("b.count").add(3);
-  reg.counter("a.count").add(1);
-  reg.gauge("q.depth").set(-2);
-  reg.histogram("t.seconds", {1.0}).observe(0.5);
-
-  const auto s = reg.snapshot();
-  ASSERT_EQ(s.counters.size(), 2u);
-  EXPECT_EQ(s.counters[0].first, "a.count");  // sorted by name
-  EXPECT_EQ(s.counters[1].second, 3u);
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_EQ(s.gauges[0].second, -2);
-  ASSERT_EQ(s.histograms.size(), 1u);
-  EXPECT_EQ(s.histograms[0].second.count, 1u);
-
-  const std::string text = reg.to_text();
-  EXPECT_NE(text.find("a.count 1"), std::string::npos);
-  EXPECT_NE(text.find("b.count 3"), std::string::npos);
-  EXPECT_NE(text.find("t.seconds_count 1"), std::string::npos);
-  EXPECT_NE(text.find("t.seconds_bucket{le="), std::string::npos);
-
-  reg.reset();
-  EXPECT_EQ(reg.counter("b.count").value(), 0u);
-  EXPECT_EQ(reg.gauge("q.depth").value(), 0);
-  EXPECT_EQ(reg.histogram("t.seconds").snapshot().count, 0u);
-}
-
-TEST(MetricsRegistry, ToJsonIsStrictlyValid) {
-  MetricsRegistry reg;
-  reg.counter("a \"quoted\"\\name").add(7);  // LINT-ALLOW(metric-name)
-  reg.gauge("g").set(-5);
-  reg.histogram("h.seconds", {0.5, 1.5}).observe(2.0);
-  const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonChecker::valid(json)) << json;
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
 // --- clock ------------------------------------------------------------------
@@ -780,24 +674,11 @@ TEST(Watchdog, MissedHeartbeatDumpsEveryThreadOnce) {
   });
   other.join();
 
-  const std::uint64_t missed_before =
-      global().counter("telemetry.watchdog.missed").value();
   watchdog::beat("test.stalled_worker", 5.0);
   EXPECT_EQ(watchdog::poll(), 0);  // fresh beat: not overdue
 
   fixed.t_ = 110.0;  // 10 s since the beat, deadline 5 s
   EXPECT_EQ(watchdog::poll(), 1);
-  EXPECT_EQ(global().counter("telemetry.watchdog.missed").value(),
-            missed_before + 1);
-  EXPECT_DOUBLE_EQ(
-      global().gauge("telemetry.watchdog.test.stalled_worker.age_seconds")
-          .value(),
-      10);
-  EXPECT_DOUBLE_EQ(
-      global()
-          .gauge("telemetry.watchdog.test.stalled_worker.deadline_seconds")
-          .value(),
-      5);
 
   const std::string json = slurp(path);
   ASSERT_FALSE(json.empty()) << "watchdog stall did not dump to " << path;
@@ -813,17 +694,15 @@ TEST(Watchdog, MissedHeartbeatDumpsEveryThreadOnce) {
   // One alarm per stall: a second poll stays overdue but fires nothing.
   std::remove(path.c_str());
   EXPECT_EQ(watchdog::poll(), 1);
-  EXPECT_EQ(global().counter("telemetry.watchdog.missed").value(),
-            missed_before + 1);
   EXPECT_TRUE(slurp(path).empty());
 
-  // Recovery rearms the alarm.
+  // Recovery rearms the alarm: the next stall dumps again.
   watchdog::beat("test.stalled_worker", 5.0);
   EXPECT_EQ(watchdog::poll(), 0);
   fixed.t_ = 130.0;
   EXPECT_EQ(watchdog::poll(), 1);
-  EXPECT_EQ(global().counter("telemetry.watchdog.missed").value(),
-            missed_before + 2);
+  EXPECT_NE(slurp(path).find("watchdog stall: test.stalled_worker"),
+            std::string::npos);
   std::remove(path.c_str());
   watchdog::reset_for_testing();
 }
@@ -932,32 +811,125 @@ TEST(LogMirror, ErrorLinesBecomeTraceInstants) {
 
 // --- stats views ------------------------------------------------------------
 
-TEST(StatsView, RochdfStatsMirrorsItsRegistry) {
-  vfs::MemFileSystem fs;
-  comm::World::run(1, [&](comm::Comm& comm) {
-    comm::RealEnv env;
-    roccom::Roccom com;
-    auto& w = com.create_window("fluid");
-    auto b = mesh::MeshBlock::structured(0, {4, 4, 4});
+/// Every counter of all three services, pinned to the value the workload
+/// implies.  The simulator makes the schedule deterministic: two servers
+/// with one client each (one client ships through its hierarchy buffer),
+/// three blocks per client against a server buffer that holds one small
+/// block but not two, a sync, an N-to-M restart read, and on each client a
+/// T-Rochdf whose second snapshot waits for the first plus a plain Rochdf.
+TEST(StatsView, EveryServiceCounterHasItsExactValue) {
+  constexpr int kClients = 2, kServers = 2;
+  // Blocks 3c and 3c+1 are small, block 3c+2 is larger than the buffer.
+  auto make = [](int id) {
+    const int n = id % 3 == 2 ? 8 : 4;
+    auto b = mesh::MeshBlock::structured(id, {n, n, n});
     mesh::add_fluid_schema(b);
-    w.register_pane(b.id(), &b);
+    return b;
+  };
+  auto wire_size = [&](int id) {
+    return rocpanda::WireBlock::from_block(make(id), "all").serialize().size();
+  };
+  const uint64_t small = wire_size(0), big = wire_size(2);
+  const uint64_t per_client = 2 * small + big;
+  ASSERT_EQ(wire_size(3), small);
+  ASSERT_EQ(wire_size(5), big);
+  ASSERT_GT(big, small + small / 2);
 
-    rochdf::Rochdf io(comm, env, fs, rochdf::Options{});
-    io.write_attribute(com, roccom::IoRequest{"fluid", "all", "sv", 0.0});
+  sim::Platform p;
+  p.node.cpus = 2;
+  sim::Simulation sim(p);
+  auto fs = std::make_shared<sim::SimFileSystem>(sim);
+  auto world = std::make_shared<sim::SimWorld>(sim, kClients + kServers);
+  std::vector<rocpanda::ServerStats> servers(kServers);
+  std::vector<rocpanda::ClientStats> clients(kClients);
+  std::vector<rochdf::Stats> trochdf(kClients), plain(kClients);
+  for (int r = 0; r < kClients + kServers; ++r) {
+    sim.add_process([&, world, fs](sim::ProcContext& ctx) {
+      auto comm = world->attach();
+      sim::SimEnv env(ctx.sim());
+      const rocpanda::Layout layout(comm->size(), kServers);
+      const bool server = layout.is_server(comm->rank());
+      auto local = comm->split(server ? 1 : 0, comm->rank());
+      if (server) {
+        rocpanda::ServerOptions so;
+        so.buffer_capacity = small + small / 2;
+        servers[static_cast<size_t>(local->rank())] =
+            rocpanda::run_server(*comm, *local, env, *fs, layout, so);
+        return;
+      }
+      const int me = local->rank();
+      const auto slot = static_cast<size_t>(me);
+      roccom::Roccom com;
+      auto& w = com.create_window("fluid");
+      std::vector<mesh::MeshBlock> blocks;
+      for (int i = 0; i < 3; ++i) blocks.push_back(make(3 * me + i));
+      for (auto& b : blocks) w.register_pane(b.id(), &b);
 
-    const auto s = io.stats();
+      rocpanda::ClientOptions co;
+      co.client_buffering = me == 0;
+      rocpanda::RocpandaClient panda(*comm, env, layout, co);
+      panda.write_attribute(com, roccom::IoRequest{"fluid", "all", "pv", 0});
+      panda.sync();
+      const int other = 1 - me;  // restart onto the other client's blocks
+      EXPECT_EQ(
+          panda.fetch_blocks("pv", {3 * other, 3 * other + 1, 3 * other + 2})
+              .size(),
+          3u);
+      clients[slot] = panda.stats();
+
+      rochdf::Options to;
+      to.threaded = true;
+      rochdf::Rochdf t(*local, env, *fs, to);
+      t.write_attribute(com, roccom::IoRequest{"fluid", "all", "t1", 0});
+      t.write_attribute(com, roccom::IoRequest{"fluid", "all", "t2", 0});
+      t.sync();
+      trochdf[slot] = t.stats();
+
+      rochdf::Rochdf sync_io(*local, env, *fs, rochdf::Options{});
+      sync_io.write_attribute(com,
+                              roccom::IoRequest{"fluid", "all", "p1", 0});
+      plain[slot] = sync_io.stats();
+      panda.shutdown();
+    });
+  }
+  sim.run();
+
+  // Per server: the second small block spills the first, and the big one
+  // spills the second and is then written through.
+  for (const rocpanda::ServerStats& s : servers) {
+    EXPECT_EQ(s.blocks_received, 3u);
+    EXPECT_EQ(s.blocks_written, 3u);
+    EXPECT_EQ(s.bytes_received, per_client);
+    EXPECT_EQ(s.buffered_bytes_peak, small);
+    EXPECT_EQ(s.spills, 3u);
+    EXPECT_EQ(s.files_created, 1u);
+    EXPECT_EQ(s.sync_requests, 1u);
+    EXPECT_EQ(s.read_sessions, 1u);
+  }
+  for (const rocpanda::ClientStats& s : clients) {
     EXPECT_EQ(s.write_calls, 1u);
-    EXPECT_EQ(s.blocks_written, 1u);
+    EXPECT_EQ(s.blocks_sent, 3u);
+    EXPECT_EQ(s.bytes_sent, per_client);
+    EXPECT_EQ(s.sync_calls, 1u);
+    EXPECT_EQ(s.blocks_fetched, 3u);
+    EXPECT_EQ(s.backpressure_waits, 0u);
+  }
+  EXPECT_EQ(clients[0].bytes_buffered, per_client);  // the hierarchy client
+  EXPECT_EQ(clients[1].bytes_buffered, 0u);
+  for (const rochdf::Stats& s : trochdf) {
+    EXPECT_EQ(s.write_calls, 2u);
+    EXPECT_EQ(s.blocks_written, 6u);
+    EXPECT_EQ(s.bytes_buffered, 2 * per_client);
+    EXPECT_EQ(s.files_written, 2u);
+    EXPECT_EQ(s.snapshot_waits, 1u);
+  }
+  for (const rochdf::Stats& s : plain) {
+    EXPECT_EQ(s.write_calls, 1u);
+    EXPECT_EQ(s.blocks_written, 3u);
+    EXPECT_EQ(s.bytes_buffered, 0u);
     EXPECT_EQ(s.files_written, 1u);
-    // The struct is a view over the named metrics, not a second set of
-    // counters.
-    auto& reg = io.metrics();
-    EXPECT_EQ(reg.counter("rochdf.write_calls").value(), s.write_calls);
-    EXPECT_EQ(reg.counter("rochdf.blocks_written").value(),
-              s.blocks_written);
-    const std::string text = reg.to_text();
-    EXPECT_NE(text.find("rochdf.write_calls 1"), std::string::npos);
-  });
+    EXPECT_EQ(s.snapshot_waits, 0u);
+  }
 }
 
 }  // namespace

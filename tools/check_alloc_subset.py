@@ -81,7 +81,7 @@ def static_hot(repo, out_dir):
     path = os.path.join(out_dir, "static-hot.json")
     cmd = [sys.executable,
            os.path.join(repo, "tools", "rocanalyze", "rocanalyze.py"),
-           "--root", repo, "--engine", "lexical", "--no-baseline",
+           "--root", repo, "--no-baseline",
            "--hot-report-out", path, "-q"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     # Findings make rocanalyze exit 1; the report is emitted regardless

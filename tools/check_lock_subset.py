@@ -71,7 +71,7 @@ def static_edges(repo, out_dir):
     path = os.path.join(out_dir, "static.json")
     cmd = [sys.executable,
            os.path.join(repo, "tools", "rocanalyze", "rocanalyze.py"),
-           "--root", repo, "--engine", "lexical", "--no-baseline",
+           "--root", repo, "--no-baseline",
            "--lock-graph-out", path, "-q"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     # Findings make rocanalyze exit 1; the graph is emitted regardless and

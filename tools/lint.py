@@ -35,14 +35,13 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    flow through the vfs layer so telemetry spans and
                    the sim substrate see it.  Reads stay legal (tools
                    legitimately read /proc etc.).
-  metric-name      Every metric/span name handed to the telemetry emit
-                   helpers (registry counter/gauge/histogram, the
-                   ROC_TRACE_* macros' category+name, watchdog::beat)
-                   must be a single string literal matching the
-                   lowercase dotted grammar
+  metric-name      Every span/heartbeat name handed to the telemetry emit
+                   helpers (the ROC_TRACE_* macros' category+name,
+                   watchdog::beat) must be a single string literal
+                   matching the lowercase dotted grammar
                    `[a-z][a-z0-9_]*(.[a-z][a-z0-9_]*)*` -- ad-hoc or
-                   computed names fragment dashboards and break
-                   tools/trace_report.py's grouping.  Dynamic names
+                   computed names break tools/trace_report.py's
+                   grouping.  Dynamic names
                    need a `LINT-ALLOW(metric-name): <reason>` marker on
                    the flagged line or the line directly above.
   analyzer-allow   Every `ROCANALYZE-ALLOW(rule): ...` suppression marker
@@ -375,11 +374,10 @@ def check_raw_io(root: str, path: str, text: str, stripped: str):
 
 # --- rule: metric-name ------------------------------------------------------
 
-# Emit sites whose name argument(s) are checked: registry helpers (first
-# arg), trace macros (category and name), watchdog heartbeats (first arg).
+# Emit sites whose name argument(s) are checked: trace macros (category
+# and name) and watchdog heartbeats (first arg).
 METRIC_EMIT_RE = re.compile(
-    r"(?:(?:\.|->)\s*(?P<reg>counter|gauge|histogram)"
-    r"|\b(?P<trace>ROC_TRACE_(?:SPAN_D|SPAN|INSTANT_D|INSTANT))"
+    r"(?:\b(?P<trace>ROC_TRACE_(?:SPAN_D|SPAN|INSTANT_D|INSTANT))"
     r"|\bwatchdog\s*::\s*(?P<beat>beat))\s*\(")
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*$")
 STRING_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$', re.S)
@@ -426,7 +424,7 @@ def check_metric_name(root: str, path: str, text: str, stripped: str):
         prev = raw_lines[lineno - 2] if lineno >= 2 else ""
         if ALLOW_MARKER in raw or ALLOW_MARKER in prev:
             continue
-        site = m.group("reg") or m.group("trace") or "watchdog::beat"
+        site = m.group("trace") or "watchdog::beat"
         nargs = 2 if m.group("trace") else 1
         args = call_args(stripped, text, m.end() - 1, nargs)
         if len(args) < nargs:
@@ -438,8 +436,8 @@ def check_metric_name(root: str, path: str, text: str, stripped: str):
                 yield Violation(
                     "metric-name", rel, lineno,
                     f"{site}() name is not a single string literal -- "
-                    f"metric/span names must be compile-time constants so "
-                    f"dashboards and trace_report.py can group on them; "
+                    f"span/heartbeat names must be compile-time constants "
+                    f"so trace_report.py can group on them; "
                     f"justify a dynamic name with "
                     f"`// LINT-ALLOW(metric-name): <reason>`")
             elif not METRIC_NAME_RE.match(lit.group(1)):

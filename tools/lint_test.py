@@ -250,53 +250,50 @@ class TestRawIo(LintTestCase):
 class TestMetricName(LintTestCase):
     def test_flags_bad_names_at_every_emit_site(self):
         self.write("src/a.cpp", """
-            Counter& c = reg.counter("Server.Blocks");
-            Gauge& g = metrics_->gauge("server..depth");
-            Histogram& h = reg.histogram("server.write-seconds");
             void f() {
               ROC_TRACE_SPAN("Client", "ship");
               ROC_TRACE_SPAN_D("client", "Ship.Background", detail);
+              ROC_TRACE_INSTANT("server", "spill-over");
+              ROC_TRACE_INSTANT_D("server..log", "error", line);
               telemetry::watchdog::beat("Server.Writer", 30.0);
             }
         """)
         v = self.run_rules(["metric-name"])
         self.assertEqual(self.rules_hit(v), {"metric-name"})
-        self.assertEqual(len(v), 6)
+        self.assertEqual(len(v), 5)
 
     def test_lowercase_dotted_literals_are_clean(self):
         self.write("src/a.cpp", """
-            Counter& c = reg.counter("server.blocks_received");
-            Gauge& g = metrics_->gauge("q");
-            Histogram& h = reg.histogram("server.write_seconds", {1.0});
             void f() {
               ROC_TRACE_SPAN("client", "ship.background");
               ROC_TRACE_SPAN_D("server", "snapshot.background", item.base);
               ROC_TRACE_INSTANT("server", "spill");
-              telemetry::watchdog::beat("vfs.async.reaper", 30.0);
+              ROC_TRACE_INSTANT_D("log", "error", line);
+              telemetry::watchdog::beat("server.background_writer", 30.0);
             }
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 
     def test_flags_computed_names(self):
         self.write("src/a.cpp",
-                   'Gauge& g = reg.gauge(prefix + ".age_seconds");\n')
+                   'watchdog::beat(prefix + ".writer", 30.0);\n')
         v = self.run_rules(["metric-name"])
         self.assertEqual(len(v), 1)
         self.assertIn("not a single string literal", v[0].message)
 
     def test_allow_marker_on_same_or_previous_line(self):
         self.write("src/a.cpp", """
-            Gauge& g = reg.gauge(prefix);  // LINT-ALLOW(metric-name): dyn
+            ROC_TRACE_SPAN("server", name);  // LINT-ALLOW(metric-name): dyn
             // LINT-ALLOW(metric-name): assembled from a checked id
-            Gauge& h = reg.gauge(prefix + ".deadline_seconds");
+            watchdog::beat(prefix + ".writer", 30.0);
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 
     def test_multiline_call_is_parsed(self):
         self.write("src/a.cpp", """
-            m_async_queue_depth_peak_(
-                metrics_.gauge(
-                    "Server.Async")),
+            ROC_TRACE_SPAN_D(
+                "server",
+                "Snapshot.Background", detail);
         """)
         self.assertEqual(len(self.run_rules(["metric-name"])), 1)
 
@@ -309,8 +306,8 @@ class TestMetricName(LintTestCase):
 
     def test_ignores_comments_and_strings(self):
         self.write("src/b.cpp", """
-            // e.g. reg.counter("Bad.Name") would be rejected
-            const char* s = "reg.gauge(Ugly)";
+            // e.g. ROC_TRACE_SPAN("Bad", "Name") would be rejected
+            const char* s = "watchdog::beat(Ugly)";
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 

@@ -15,8 +15,8 @@ over the closure:
                      suffices), or an owned-bytes materialisation
                      (to_vector, copy_of, pool-less gather) on a hot path.
   r10-cold-escape    a hot-reachable method calling a curated cold root
-                     (stdio, to_text/to_json formatting, trace-file
-                     writers, log emission) -- R6's blocking roots were
+                     (stdio, trace-file writers, flight dumps, log
+                     emission) -- R6's blocking roots were
                      about locks; these are about cost.
 
 Sanctioned-channel accounting: bodies in src/util/buffer.{h,cpp} are the
@@ -48,15 +48,14 @@ MAX_CHAIN = 6
 # Files implementing the sanctioned pool/gather channel (see module doc).
 CHANNEL_FILES = ("src/util/buffer.h", "src/util/buffer.cpp")
 # The interposer and annotation plumbing themselves, plus observability
-# (metrics/trace/watchdog, lock-discipline tracking) and the deterministic
+# (trace/watchdog, lock-discipline tracking) and the deterministic
 # sim substrate: instrumentation and device models are accounted outside
 # the product hot path -- the runtime mirror is their ROC_ALLOC_EXEMPT
 # brackets (or exemption at the call spine), so the static report stays a
 # superset of what the runtime scopes charge.
 INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
                          "src/util/hot.h", "src/util/check_hooks.h",
-                         "src/util/mutex.h", "src/util/mutex.cpp",
-                         "src/telemetry/metrics.h", "src/telemetry/metrics.cpp",
+                         "src/util/mutex.h",
                          "src/telemetry/trace.h", "src/telemetry/trace.cpp",
                          "src/telemetry/watchdog.h",
                          "src/telemetry/watchdog.cpp",
@@ -74,7 +73,6 @@ COLD_FREE = frozenset({
     "getenv", "system", "strerror",
 })
 COLD_METHODS = frozenset({
-    "to_text", "to_json",          # MetricsRegistry text/JSON rendering
     "write_chrome_trace",          # telemetry trace-file writer
     "dump_now", "dump_to_fd",      # flight-recorder dumps
 })

@@ -1,7 +1,7 @@
-"""Shared intermediate representation for rocanalyze, plus the lexical
-engine that builds it without a compiler.
+"""Intermediate representation for rocanalyze, plus the lexical engine
+that builds it without a compiler.
 
-Both engines (this one and clang_engine.py) produce the same model:
+The engine produces this model:
 
     FileModel
       classes: [ClassInfo]          # classes/structs + a file-scope pseudo
@@ -9,15 +9,13 @@ Both engines (this one and clang_engine.py) produce the same model:
       allows:  {line: {rule, ...}}  # ROCANALYZE-ALLOW(rule): suppressions
     StructLayout                    # per-struct triviality / padding facts
 
-so the rules in rules.py never care which engine parsed the code.
+and the rules in rules.py run over the model alone.
 
 The lexical engine is deliberately conservative: it understands the
 repository's actual idiom (Google style, `roc::MutexLock lock(mu_)`,
 `comm::GateLock lock(*gate_)`, explicit `gate_->lock()/unlock()` pairs,
 `ROC_GUARDED_BY(cap)` on the declaration) rather than arbitrary C++.  Where
-it cannot decide, it stays silent -- the libclang engine exists for
-precision; this one exists so the invariants stay checked on machines
-without libclang (mirroring tools/run_clang_tidy.py's graceful skip).
+it cannot decide, it stays silent.
 """
 
 from __future__ import annotations

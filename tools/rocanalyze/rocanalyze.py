@@ -41,15 +41,11 @@ Seven rule families (see rules.py for the full catalogue):
                           not be materialised into owned bytes on a hot
                           path.
   R10 cold escape         hot-reachable code must not call curated cold
-                          roots (stdio, to_text/to_json, trace-file
-                          writers, log emission).
+                          roots (stdio, trace-file writers, flight
+                          dumps, log emission).
 
-Engines:
-  * libclang (python clang.cindex over build/compile_commands.json) when
-    available -- precise types, scopes and lock tracking;
-  * a built-in lexical engine otherwise -- same rules over a conservative
-    structural parse, so the invariants stay enforced on machines without
-    libclang (this mirrors tools/run_clang_tidy.py's graceful degrade).
+The rules run over a conservative structural parse of the sources (the
+lexical engine in cxxmodel.py), so no compiler is needed.
 
 Findings are diffed against tools/rocanalyze/baseline.json by fingerprint
 (rule + file + symbol, line-independent).  New findings fail the run; the
@@ -60,13 +56,12 @@ committed baseline must justify every entry.  Inline suppression:
 on the finding line or up to two lines above it.
 
 Usage:
-  tools/rocanalyze/rocanalyze.py [--root DIR] [--build-dir DIR]
-      [--engine auto|libclang|lexical] [--rules r1,r2-...] [--strict]
-      [--baseline FILE | --no-baseline] [--update-baseline]
+  tools/rocanalyze/rocanalyze.py [--root DIR] [--rules r1,r2-...]
+      [--strict] [--baseline FILE | --no-baseline] [--update-baseline]
       [--out findings.json] [--paths file...] [-q]
 
-Exit status: 0 clean (or engine skip), 1 new findings (or, with --strict,
-stale/unjustified baseline entries), 2 usage/environment error.
+Exit status: 0 clean, 1 new findings (or, with --strict, stale/unjustified
+baseline entries), 2 usage/environment error.
 """
 
 from __future__ import annotations
@@ -137,35 +132,11 @@ def load_baseline(path):
     return entries
 
 
-def make_engine(args, root, rel_paths):
-    """Returns (engine, notice).  engine is None when an explicitly
-    requested libclang engine is unavailable (graceful skip)."""
-    if args.engine == "lexical":
-        return LexicalEngine(root, rel_paths), ""
-    try:
-        import clang_engine
-        eng = clang_engine.ClangEngine(root, rel_paths, args.build_dir)
-        return eng, ""
-    except Exception as e:  # libclang missing, no compile db, bad version
-        reason = str(e).splitlines()[0] if str(e) else type(e).__name__
-        if args.engine == "libclang":
-            return None, reason
-        return LexicalEngine(root, rel_paths), reason
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))),
         help="repository root (default: grandparent of this file)")
-    ap.add_argument("--build-dir", default="build",
-                    help="directory holding compile_commands.json "
-                         "(libclang engine)")
-    ap.add_argument("--engine", choices=("auto", "libclang", "lexical"),
-                    default="auto",
-                    help="auto prefers libclang and degrades to the "
-                         "lexical engine; libclang skips (exit 0) when "
-                         "unavailable")
     ap.add_argument("--rules", default="r1,r2,r3,r4,r5,r6,r7,r8,r9,r10",
                     help="comma-separated rule ids or family prefixes "
                          f"(families r1..r10; ids: {', '.join(ALL_RULES)})")
@@ -218,31 +189,13 @@ def main(argv=None):
         print("rocanalyze: nothing to analyze", file=sys.stderr)
         return 2
 
-    engine, notice = make_engine(args, root, rel_paths)
-    if engine is None:
-        print(f"rocanalyze: libclang engine unavailable ({notice}) -- "
-              f"skipping (install python3-clang + libclang and configure "
-              f"with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON, or use "
-              f"--engine auto for the lexical fallback)")
-        return 0
-    if notice and not args.quiet:
-        print(f"rocanalyze: libclang unavailable ({notice}); using the "
-              f"built-in lexical engine")
-
+    engine = LexicalEngine(root, rel_paths)
     try:
         models, structs = engine.build()
     except Exception as e:
-        if engine.name == "libclang" and args.engine == "auto":
-            # A half-broken libclang install must not take the gate down:
-            # degrade to the lexical engine, loudly.
-            print(f"rocanalyze: libclang engine failed ({e}); falling back "
-                  f"to the lexical engine", file=sys.stderr)
-            engine = LexicalEngine(root, rel_paths)
-            models, structs = engine.build()
-        else:
-            print(f"rocanalyze: engine {engine.name} failed: {e}",
-                  file=sys.stderr)
-            return 2
+        print(f"rocanalyze: engine {engine.name} failed: {e}",
+              file=sys.stderr)
+        return 2
 
     from rules import ALLOC_RULES, INTERPROC_RULES
     analysis = None

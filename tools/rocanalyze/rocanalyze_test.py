@@ -3,8 +3,8 @@
 
 Each rule family is exercised against its planted-violation fixture in
 tools/rocanalyze/fixtures/ (every expected rule id must fire, and nothing
-else), the real tree must analyze clean, and the baseline / suppression /
-graceful-skip mechanics are covered.  Run directly or via ctest
+else), the real tree must analyze clean, and the baseline and suppression
+mechanics are covered.  Run directly or via ctest
 (`rocanalyze_selftest`).
 """
 
@@ -47,7 +47,7 @@ def analyze(paths, *extra):
         out = tf.name
     try:
         rc, stdout, stderr = run_driver(
-            "--root", ROOT, "--engine", "lexical", "--no-baseline", "-q",
+            "--root", ROOT, "--no-baseline", "-q",
             "--out", out, "--paths", *paths, *extra)
         with open(out, encoding="utf-8") as fh:
             findings = json.load(fh)["findings"]
@@ -562,7 +562,7 @@ class TestBaselineFlow(unittest.TestCase):
         self.fixture = os.path.join(FIXTURES, "r3_hookless_shared.cpp")
 
     def drive(self, *extra):
-        return run_driver("--root", ROOT, "--engine", "lexical",
+        return run_driver("--root", ROOT,
                           "--baseline", self.baseline,
                           "--paths", self.fixture, *extra)
 
@@ -586,46 +586,17 @@ class TestBaselineFlow(unittest.TestCase):
     def test_strict_flags_stale_entries(self):
         self.drive("--update-baseline")
         rc, out, _ = run_driver(
-            "--root", ROOT, "--engine", "lexical",
+            "--root", ROOT,
             "--baseline", self.baseline, "--strict",
             "--paths", os.path.join(FIXTURES, "r1_dangling_view.cpp"))
         self.assertEqual(rc, 1)
         self.assertIn("stale", out)
 
 
-class TestTreeAndEngines(unittest.TestCase):
+class TestTree(unittest.TestCase):
     def test_real_tree_is_clean_in_strict_mode(self):
         rc, out, err = run_driver("--root", ROOT, "--strict")
         self.assertEqual(rc, 0, f"tree not clean:\n{out}\n{err}")
-
-    def test_explicit_libclang_engine_skips_when_unavailable(self):
-        try:
-            import clang.cindex  # noqa: F401
-            import clang_engine
-            clang_engine.load_cindex()
-            have_libclang = True
-        except Exception:
-            have_libclang = False
-        if have_libclang:
-            self.skipTest("libclang present: skip path not reachable")
-        rc, out, _ = run_driver("--root", ROOT, "--engine", "libclang")
-        self.assertEqual(rc, 0)
-        self.assertIn("skipping", out)
-
-    def test_libclang_engine_matches_lexical_when_available(self):
-        try:
-            sys.path.insert(0, HERE)
-            import clang_engine
-            clang_engine.load_cindex()
-        except Exception:
-            self.skipTest("libclang not installed")
-        if not os.path.exists(
-                os.path.join(ROOT, "build", "compile_commands.json")):
-            self.skipTest("no compilation database")
-        rc_c, out_c, err_c = run_driver("--root", ROOT,
-                                        "--engine", "libclang", "--strict")
-        self.assertEqual(rc_c, 0,
-                         f"libclang engine diverged:\n{out_c}\n{err_c}")
 
 
 if __name__ == "__main__":

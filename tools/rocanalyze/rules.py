@@ -54,7 +54,7 @@ see allocsum.py):
                     suffices), or an owned-bytes materialisation
                     (to_vector, copy_of, pool-less gather) on a hot path.
   r10-cold-escape   A hot-reachable method calling a curated cold root
-                    (stdio, to_text/to_json, trace-file writers, log
+                    (stdio, trace-file writers, flight dumps, log
                     emission) -- cost roots, complementing R6's blocking
                     roots.
 """
