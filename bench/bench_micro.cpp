@@ -15,14 +15,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
-#include "check/alloc_hook.h"
 #include "comm/thread_comm.h"
 #include "telemetry/trace.h"
 #include "mesh/generators.h"
@@ -217,10 +215,8 @@ BENCHMARK(BM_WireMarshalCopy)->Arg(16)->Arg(48);
 
 /// Chain marshal: header bytes only, payload segments alias the block;
 /// the pool gather is the single permitted copy.  One untimed op warms the
-/// pool and the chain's segment list; the steady state after it must
-/// charge zero heap allocations per op — allocs_per_op is the runtime
-/// face of rocanalyze R8, gated at exactly 0 by tools/bench_compare.py
-/// (in a ROCPIO_CHECK build; the stub counter reads 0 otherwise).
+/// pool and the chain's segment list; alloc_test asserts the steady state
+/// after it allocates nothing.
 void BM_WireMarshalChain(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   BufferPool pool;
@@ -231,18 +227,12 @@ void BM_WireMarshalChain(benchmark::State& state) {
     benchmark::DoNotOptimize(warm.data());
   }
   int64_t bytes = 0;
-  const uint64_t charged0 = check::thread_charged_allocs();
   for (auto _ : state) {
     rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
     const SharedBuffer wire = pool.gather(chain);
     bytes = static_cast<int64_t>(wire.size());
     benchmark::DoNotOptimize(wire.data());
   }
-  const uint64_t charged = check::thread_charged_allocs() - charged0;
-  if (state.iterations() > 0)
-    state.counters["allocs_per_op"] =
-        static_cast<double>(charged) /
-        static_cast<double>(state.iterations());
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
 }
 BENCHMARK(BM_WireMarshalChain)->Arg(16)->Arg(48);
@@ -280,27 +270,22 @@ BENCHMARK(BM_BlockShipCopy)->Arg(16)->Arg(48)->UseRealTime();
 /// sendv gathers once straight into the delivered message.  Each World is
 /// fresh, so the first ship of every run warms the world gather pool, the
 /// header pool, and the chain's segment list; the ships after it are the
-/// steady state and must charge zero allocations on the shipping thread
-/// (allocs_per_op, gated at 0 — rocanalyze R8's runtime face).
+/// steady state (alloc_test asserts they allocate nothing).
 void BM_BlockShipZeroCopy(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const int64_t wire_bytes = static_cast<int64_t>(
       rocpanda::WireBlock::serialize_chain(b, "all").total_bytes());
-  std::atomic<uint64_t> charged{0};
   for (auto _ : state) {
-    comm::World::run(2, [&b, &charged](comm::Comm& comm) {
+    comm::World::run(2, [&b](comm::Comm& comm) {
       if (comm.rank() == 0) {
         BufferPool pool;
         BufferChain chain;
         rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
-        comm.sendv(1, 1, chain);  // warm-up ship, excluded from accounting
-        const uint64_t c0 = check::thread_charged_allocs();
+        comm.sendv(1, 1, chain);  // warm-up ship
         for (int i = 0; i < kShipsPerRun; ++i) {
           rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
           comm.sendv(1, 1, chain);
         }
-        charged.fetch_add(check::thread_charged_allocs() - c0,
-                          std::memory_order_relaxed);
       } else {
         for (int i = 0; i < kShipsPerRun + 1; ++i) {
           auto m = comm.recv(0, 1);
@@ -309,10 +294,6 @@ void BM_BlockShipZeroCopy(benchmark::State& state) {
       }
     });
   }
-  if (state.iterations() > 0)
-    state.counters["allocs_per_op"] =
-        static_cast<double>(charged.load()) /
-        static_cast<double>(state.iterations() * kShipsPerRun);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           (kShipsPerRun + 1) * wire_bytes);
 }
@@ -366,8 +347,7 @@ BENCHMARK(BM_ServerWriteMaterialize)->Arg(16)->Arg(48);
 /// duplicate dataset names, so each op writes under its own pre-built
 /// window name (all the same length — the scratch prefix never regrows);
 /// the first write per run warms the writer's header/segment scratches
-/// and is excluded from the alloc accounting.  allocs_per_op is gated at
-/// exactly 0 by tools/bench_compare.py (rocanalyze R8's runtime face).
+/// (alloc_test asserts the writes after it allocate nothing).
 void BM_ServerWritePassThrough(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const SharedBuffer wire =
@@ -375,20 +355,13 @@ void BM_ServerWritePassThrough(benchmark::State& state) {
   const rocpanda::WireBlockView view = rocpanda::WireBlockView::parse(wire);
   rocpanda::WriteScratch scratch;
   const std::vector<std::string> windows = write_windows();
-  uint64_t charged = 0;
   for (auto _ : state) {
     vfs::MemFileSystem fs;
     shdf::Writer w(fs, "f");
     view.write_to(w, windows[0], 0.0, &scratch);
-    const uint64_t c0 = check::thread_charged_allocs();
     for (int i = 1; i <= kWritesPerRun; ++i)
       view.write_to(w, windows[i], 0.0, &scratch);
-    charged += check::thread_charged_allocs() - c0;
   }
-  if (state.iterations() > 0)
-    state.counters["allocs_per_op"] =
-        static_cast<double>(charged) /
-        static_cast<double>(state.iterations() * kWritesPerRun);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           (kWritesPerRun + 1) *
                           static_cast<int64_t>(wire.size()));

@@ -4,10 +4,7 @@
 /// Everything here must be async-allocation-safe: the counting path runs
 /// inside operator new, so it uses only POD thread_locals, relaxed
 /// atomics and raw malloc/free (which are NOT interposed -- the wrappers
-/// below sit on top of them, so internal bookkeeping via malloc is
-/// invisible to the counters and the raw totals stay exact for product
-/// allocations).  Registry merging and symbolization happen at scope
-/// exit / snapshot time under an exempt bracket.
+/// below sit on top of them).
 
 #include "check/alloc_hook.h"
 
@@ -15,126 +12,29 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <mutex>
 #include <new>
-
-#include <unistd.h>
-#if defined(__GLIBC__)
-#include <execinfo.h>
-#endif
 
 #include "util/hot.h"
 
 namespace roc::check {
 namespace {
 
-constexpr int kMaxBacktraces = 4;   // captured per scope label
-constexpr int kBacktraceDepth = 24;
-
-/// One open ROC_ASSERT_NO_ALLOC scope on a thread.  Allocated with raw
-/// malloc so scope setup never perturbs the counters it guards.
-struct ScopeRec {
-  const char* label;
-  ScopeRec* parent;
-  uint64_t allocs;
-  uint64_t bytes;
-  int nbt;
-  int bt_len[kMaxBacktraces];
-  void* bt[kMaxBacktraces][kBacktraceDepth];
-};
-
 thread_local uint64_t t_allocs = 0;
 thread_local uint64_t t_frees = 0;
 thread_local uint64_t t_bytes = 0;
 thread_local uint64_t t_charged = 0;  // unsanctioned (non-exempt) allocs
 thread_local int t_exempt = 0;
-thread_local ScopeRec* t_top = nullptr;
 
 std::atomic<uint64_t> g_allocs{0};
 std::atomic<uint64_t> g_frees{0};
-std::atomic<int> g_mode{static_cast<int>(AllocMode::kCount)};
-
-struct LabelStats {
-  uint64_t entries = 0;
-  uint64_t allocs = 0;
-  uint64_t bytes = 0;
-  int nbt = 0;
-  int bt_len[kMaxBacktraces];
-  void* bt[kMaxBacktraces][kBacktraceDepth];
-};
-
-// Raw std::mutex on purpose: roc::Mutex's lock-order tracking allocates,
-// which must never happen inside the interposer.
-std::mutex& registry_mutex() {  // LINT-ALLOW(raw-sync): see above.
-  static std::mutex m;  // LINT-ALLOW(raw-sync): see above.
-  return m;
-}
-
-std::map<std::string, LabelStats>& registry() {
-  static std::map<std::string, LabelStats>* r =
-      new std::map<std::string, LabelStats>();  // leaked: outlives exit paths
-  return *r;
-}
-
-[[noreturn]] void die_no_alloc(const char* label, void* const* frames,
-                               int nframes) {
-  // Raw fds only: this runs inside operator new with a scope violated.
-  char buf[256];
-  int n = std::snprintf(buf, sizeof buf,
-                        "ROC_ASSERT_NO_ALLOC violated: heap allocation "
-                        "inside scope '%s'\n",
-                        label != nullptr ? label : "?");
-  if (n > 0) {
-    ssize_t ignored = write(2, buf, static_cast<size_t>(n));
-    (void)ignored;
-  }
-#if defined(__GLIBC__)
-  if (nframes > 0) backtrace_symbols_fd(frames, nframes, 2);
-#else
-  (void)frames;
-  (void)nframes;
-#endif
-  std::abort();
-}
 
 /// The single counting choke point for every replaced allocation function.
 void on_alloc(std::size_t n) {
   ++t_allocs;
   t_bytes += n;
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (t_exempt != 0) return;
-  // Charged even with no scope open: benches read this counter directly to
-  // report unsanctioned allocs/op without paying for a scope per iteration.
-  ++t_charged;
-  if (t_top == nullptr) return;
-
-  void* frames[kBacktraceDepth];
-  int got = 0;
-#if defined(__GLIBC__)
-  // backtrace() may allocate internally on first use; bracket it so any
-  // re-entrant operator new is counted but not charged (and cannot
-  // recurse back into backtrace()).
-  ++t_exempt;
-  got = backtrace(frames, kBacktraceDepth);
-  --t_exempt;
-#endif
-  for (ScopeRec* s = t_top; s != nullptr; s = s->parent) {
-    ++s->allocs;
-    s->bytes += n;
-    if (got > 0 && s->nbt < kMaxBacktraces) {
-      std::memcpy(s->bt[s->nbt], frames, sizeof(void*) * got);
-      s->bt_len[s->nbt] = got;
-      ++s->nbt;
-    }
-  }
-  if (g_mode.load(std::memory_order_relaxed) ==
-      static_cast<int>(AllocMode::kAbort)) {
-    die_no_alloc(t_top->label, frames, got);
-  }
+  if (t_exempt == 0) ++t_charged;
 }
 
 void on_free() {
@@ -171,36 +71,14 @@ void do_free(void* p) {
   std::free(p);
 }
 
-void escape_json(const std::string& s, std::string& out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
+void exempt_enter() { ++t_exempt; }
+void exempt_exit() {
+  if (t_exempt > 0) --t_exempt;
 }
 
-/// Installs the gate (and the env-selected mode) before main().
-struct GateInstaller {
-  roc::hot::AllocGate gate;
-  GateInstaller() {
-    gate.scope_enter = &alloc_scope_enter;
-    gate.scope_exit = &alloc_scope_exit;
-    gate.exempt_enter = &alloc_exempt_enter;
-    gate.exempt_exit = &alloc_exempt_exit;
-    const char* mode = std::getenv("ROCPIO_ALLOC_MODE");
-    if (mode != nullptr && std::strcmp(mode, "abort") == 0) {
-      g_mode.store(static_cast<int>(AllocMode::kAbort),
-                   std::memory_order_relaxed);
-    }
-    roc::hot::set_gate(&gate);
-  }
-};
-GateInstaller g_installer;
+/// Installs the gate before main().
+const roc::hot::AllocGate g_gate{&exempt_enter, &exempt_exit};
+[[maybe_unused]] const bool g_installed = (roc::hot::set_gate(&g_gate), true);
 
 }  // namespace
 
@@ -210,126 +88,6 @@ uint64_t thread_alloc_bytes() { return t_bytes; }
 uint64_t thread_charged_allocs() { return t_charged; }
 uint64_t total_allocs() { return g_allocs.load(std::memory_order_relaxed); }
 uint64_t total_frees() { return g_frees.load(std::memory_order_relaxed); }
-
-AllocMode alloc_mode() {
-  return static_cast<AllocMode>(g_mode.load(std::memory_order_relaxed));
-}
-
-void set_alloc_mode(AllocMode m) {
-  g_mode.store(static_cast<int>(m), std::memory_order_relaxed);
-}
-
-void* alloc_scope_enter(const char* label) {
-  auto* s = static_cast<ScopeRec*>(std::malloc(sizeof(ScopeRec)));
-  if (s == nullptr) return nullptr;  // degrade to not charging
-  s->label = label;
-  s->parent = t_top;
-  s->allocs = 0;
-  s->bytes = 0;
-  s->nbt = 0;
-  t_top = s;
-  return s;
-}
-
-void alloc_scope_exit(void* token) {
-  auto* s = static_cast<ScopeRec*>(token);
-  if (s == nullptr) return;
-  // Tolerate interleaved destruction order by popping through to `s`.
-  while (t_top != nullptr && t_top != s) t_top = t_top->parent;
-  if (t_top == s) t_top = s->parent;
-  ++t_exempt;  // registry merge allocates map nodes / strings
-  {
-    std::lock_guard<std::mutex> g(registry_mutex());  // LINT-ALLOW(raw-sync)
-    LabelStats& e = registry()[s->label != nullptr ? s->label : "?"];
-    ++e.entries;
-    e.allocs += s->allocs;
-    e.bytes += s->bytes;
-    for (int i = 0; i < s->nbt && e.nbt < kMaxBacktraces; ++i) {
-      std::memcpy(e.bt[e.nbt], s->bt[i], sizeof(void*) * s->bt_len[i]);
-      e.bt_len[e.nbt] = s->bt_len[i];
-      ++e.nbt;
-    }
-  }
-  --t_exempt;
-  std::free(s);
-}
-
-void* alloc_exempt_enter() {
-  ++t_exempt;
-  return nullptr;
-}
-
-void alloc_exempt_exit(void* /*token*/) {
-  if (t_exempt > 0) --t_exempt;
-}
-
-std::vector<AllocScopeStats> alloc_registry_snapshot() {
-  ++t_exempt;
-  std::vector<AllocScopeStats> out;
-  {
-    std::lock_guard<std::mutex> g(registry_mutex());  // LINT-ALLOW(raw-sync)
-    for (const auto& kv : registry()) {
-      AllocScopeStats s;
-      s.label = kv.first;
-      s.entries = kv.second.entries;
-      s.allocs = kv.second.allocs;
-      s.bytes = kv.second.bytes;
-#if defined(__GLIBC__)
-      for (int i = 0; i < kv.second.nbt; ++i) {
-        char** syms = backtrace_symbols(
-            const_cast<void* const*>(kv.second.bt[i]), kv.second.bt_len[i]);
-        if (syms == nullptr) continue;
-        for (int j = 0; j < kv.second.bt_len[i]; ++j) {
-          s.frames.emplace_back(syms[j]);
-        }
-        std::free(syms);
-      }
-#endif
-      out.push_back(std::move(s));
-    }
-  }
-  --t_exempt;
-  return out;
-}
-
-void alloc_registry_reset() {
-  std::lock_guard<std::mutex> g(registry_mutex());  // LINT-ALLOW(raw-sync)
-  registry().clear();
-}
-
-bool write_alloc_report(const std::string& path) {
-  std::vector<AllocScopeStats> scopes = alloc_registry_snapshot();
-  std::string body;
-  body += "{\n  \"version\": 1,\n  \"kind\": \"runtime-alloc-report\",\n";
-  body += "  \"total_allocs\": " + std::to_string(total_allocs()) + ",\n";
-  body += "  \"scopes\": [";
-  bool first = true;
-  for (const AllocScopeStats& s : scopes) {
-    body += first ? "\n" : ",\n";
-    first = false;
-    body += "    {\"label\": \"";
-    escape_json(s.label, body);
-    body += "\", \"entries\": " + std::to_string(s.entries);
-    body += ", \"allocs\": " + std::to_string(s.allocs);
-    body += ", \"bytes\": " + std::to_string(s.bytes);
-    body += ", \"frames\": [";
-    for (size_t i = 0; i < s.frames.size(); ++i) {
-      if (i != 0) body += ", ";
-      body += '"';
-      escape_json(s.frames[i], body);
-      body += '"';
-    }
-    body += "]}";
-  }
-  body += first ? "]\n}\n" : "\n  ]\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t wrote = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return wrote == body.size();
-}
-
-void install_alloc_gate() { roc::hot::set_gate(&g_installer.gate); }
 
 }  // namespace roc::check
 

@@ -4,97 +4,33 @@
 ///
 /// Linking this TU replaces the global allocation functions with counting
 /// wrappers and installs the roc::hot::AllocGate, which activates the
-/// ROC_ASSERT_NO_ALLOC / ROC_ALLOC_EXEMPT scopes compiled into product
-/// code (src/util/hot.h).  Semantics:
+/// ROC_ALLOC_EXEMPT brackets compiled into product code (src/util/hot.h).
+/// Semantics:
 ///
 ///   * every operator-new allocation bumps per-thread and process
 ///     totals (raw interposer truth -- tests assert exact counts);
-///   * allocations outside an ROC_ALLOC_EXEMPT bracket are CHARGED to
-///     every ROC_ASSERT_NO_ALLOC scope open on the calling thread, with
-///     the first few backtraces captured per scope;
-///   * closed scopes merge into a process-wide registry keyed by label
-///     (the rocanalyze symbol of the hot root), exported by
-///     write_alloc_report() and compared against the static R8 report by
-///     tools/check_alloc_subset.py;
-///   * AllocMode::kAbort (or ROCPIO_ALLOC_MODE=abort in the environment)
-///     turns the first charged allocation into an immediate abort with a
-///     raw-fd backtrace -- the EXPECT_DEATH hook for tests.
+///   * allocations outside an ROC_ALLOC_EXEMPT bracket are also CHARGED
+///     to the calling thread.  alloc_test diffs the charged count around
+///     the steady state of each hot pipeline and requires zero.
 ///
-/// The exempt bracket mirrors the static analyzer's sanctioned-channel
-/// accounting (allocsum.py CHANNEL_FILES): BufferPool recycling is
-/// counted in raw totals but never charged, keeping the static report a
-/// superset of what the scopes observe.
+/// The exempt bracket marks the sanctioned channels (BufferPool recycling,
+/// retained shdf metadata, mailbox ring growth, the simulated device
+/// store); rocanalyze R8 reads the same markers as its exemptions, so one
+/// annotation serves both checks.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace roc::check {
-
-enum class AllocMode { kCount, kAbort };
-
-/// Per-label accumulation of every closed ROC_ASSERT_NO_ALLOC scope.
-struct AllocScopeStats {
-  std::string label;
-  uint64_t entries = 0;  // scope activations
-  uint64_t allocs = 0;   // charged (unsanctioned) allocations
-  uint64_t bytes = 0;
-  std::vector<std::string> frames;  // symbolized frames of first allocs
-};
-
-#if defined(ROCPIO_CHECK)
 
 /// Raw per-thread interposer counters (exempt allocations included).
 uint64_t thread_allocs();
 uint64_t thread_frees();
 uint64_t thread_alloc_bytes();
 /// Unsanctioned allocations on this thread: everything outside an
-/// ROC_ALLOC_EXEMPT bracket, counted whether or not a scope is open.
-/// Benches diff this around each operation for allocs/op.
+/// ROC_ALLOC_EXEMPT bracket.
 uint64_t thread_charged_allocs();
 /// Process-wide totals.
 uint64_t total_allocs();
 uint64_t total_frees();
-
-AllocMode alloc_mode();
-void set_alloc_mode(AllocMode m);
-
-/// Gate entry points (normally reached via ROC_ASSERT_NO_ALLOC /
-/// ROC_ALLOC_EXEMPT; exposed for tests).
-void* alloc_scope_enter(const char* label);
-void alloc_scope_exit(void* token);
-void* alloc_exempt_enter();
-void alloc_exempt_exit(void* token);
-
-/// Registry of closed scopes, sorted by label.
-std::vector<AllocScopeStats> alloc_registry_snapshot();
-void alloc_registry_reset();
-/// Writes the registry as runtime-alloc-report JSON.  False on I/O error.
-bool write_alloc_report(const std::string& path);
-
-/// Installs the roc::hot gate.  A static initializer in alloc_hook.cpp
-/// already does this when the TU is linked; calling again is a no-op.
-void install_alloc_gate();
-
-#else  // !ROCPIO_CHECK
-
-inline uint64_t thread_allocs() { return 0; }
-inline uint64_t thread_frees() { return 0; }
-inline uint64_t thread_alloc_bytes() { return 0; }
-inline uint64_t thread_charged_allocs() { return 0; }
-inline uint64_t total_allocs() { return 0; }
-inline uint64_t total_frees() { return 0; }
-inline AllocMode alloc_mode() { return AllocMode::kCount; }
-inline void set_alloc_mode(AllocMode) {}
-inline void* alloc_scope_enter(const char*) { return nullptr; }
-inline void alloc_scope_exit(void*) {}
-inline void* alloc_exempt_enter() { return nullptr; }
-inline void alloc_exempt_exit(void*) {}
-inline std::vector<AllocScopeStats> alloc_registry_snapshot() { return {}; }
-inline void alloc_registry_reset() {}
-inline bool write_alloc_report(const std::string&) { return false; }
-inline void install_alloc_gate() {}
-
-#endif  // ROCPIO_CHECK
 
 }  // namespace roc::check

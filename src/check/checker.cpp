@@ -1,9 +1,6 @@
 #include "check/checker.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 
 #include "check/explorer.h"
@@ -66,11 +63,10 @@ Session::ThreadState& Session::state_of(Tid t) {
   return threads_[static_cast<size_t>(t)];
 }
 
-void Session::add_finding_locked(Finding::Kind kind, std::string key,
-                                 std::string summary, std::string detail) {
+void Session::add_finding_locked(std::string key, std::string summary,
+                                 std::string detail) {
   if (!seen_keys_.insert(key).second) return;
   Finding f;
-  f.kind = kind;
   f.key = std::move(key);
   f.summary = std::move(summary);
   f.detail = std::move(detail);
@@ -81,108 +77,11 @@ void Session::add_finding_locked(Finding::Kind kind, std::string key,
 // Locks
 // ---------------------------------------------------------------------------
 
-void Session::check_lock_order_locked(Tid t, const void* m, const char* name,
-                                      SourceSite site) {
+void Session::do_acquire(Tid t, const void* m) {
   ThreadState& ts = state_of(t);
-  if (ts.held.empty()) return;
-
-  // The acquisition stack that would create these edges: everything held,
-  // then the new lock.
-  std::vector<std::string> stack;
-  stack.reserve(ts.held.size() + 1);
-  for (const HeldLock& h : ts.held)
-    stack.push_back(h.name + " acquired at " + h.site.str());
-  stack.push_back(std::string(name != nullptr ? name : "?") +
-                  " acquiring at " + site.str());
-
-  const std::string to_name = name != nullptr ? name : "?";
-  for (const HeldLock& h : ts.held) {
-    if (h.m == m) continue;  // re-locking a held mutex self-deadlocks in
-                             // m_.lock() before reaching this hook, so a
-                             // self-edge never forms here (TSan reports it)
-    auto [it, fresh] = edges_[h.m].try_emplace(m);
-    if (fresh) it->second.stack = stack;
-    if (h.name != to_name)  // distinct objects sharing a name: not an order
-      named_edges_.try_emplace({h.name, to_name}, stack);
-
-    // New edge h.m -> m: a path m ->* h.m would close a cycle.
-    std::vector<const void*> path;  // locks visited m ... h.m
-    std::vector<std::pair<const void*, const void*>> parent_edges;
-    std::set<const void*> visited;
-    std::vector<const void*> dfs{m};
-    std::map<const void*, const void*> parent;
-    bool found = false;
-    while (!dfs.empty() && !found) {
-      const void* cur = dfs.back();
-      dfs.pop_back();
-      if (!visited.insert(cur).second) continue;
-      auto eit = edges_.find(cur);
-      if (eit == edges_.end()) continue;
-      for (const auto& [next, edge] : eit->second) {
-        if (visited.count(next) != 0) continue;
-        parent[next] = cur;
-        if (next == h.m) {
-          found = true;
-          break;
-        }
-        dfs.push_back(next);
-      }
-    }
-    if (!found) continue;
-
-    // Reconstruct the path m -> ... -> h.m, then the new edge closes it.
-    std::vector<const void*> cycle;
-    for (const void* cur = h.m;; cur = parent.at(cur)) {
-      cycle.push_back(cur);
-      if (cur == m) break;
-    }
-    // cycle is h.m ... m reversed; present as m -> ... -> h.m -> m.
-    std::string key = "cycle:";
-    std::string detail = "lock-order cycle:\n";
-    auto lock_label = [this](const void* l) {
-      auto nit = lock_names_.find(l);
-      return nit != lock_names_.end() ? nit->second : std::string("?");
-    };
-    for (auto rit = cycle.rbegin(); rit != cycle.rend(); ++rit)
-      key += lock_label(*rit) + ">";
-    detail += "  this acquisition (closing edge " + lock_label(h.m) +
-              " -> " + lock_label(m) + "):\n";
-    for (const std::string& s : stack) detail += "    " + s + "\n";
-    // The opposing stack: the recorded edge m ->* h.m along the found
-    // path; name the first edge out of m on that path.
-    const void* second_hop = nullptr;
-    for (const auto& [child, par] : parent) {
-      if (par == m) {
-        // Prefer the hop actually on the reconstructed path.
-        if (std::find(cycle.begin(), cycle.end(), child) != cycle.end())
-          second_hop = child;
-      }
-    }
-    if (second_hop == nullptr && cycle.size() >= 2)
-      second_hop = cycle[cycle.size() - 2];
-    if (second_hop != nullptr) {
-      const Edge& opposing = edges_[m][second_hop];
-      detail += "  earlier acquisition (edge " + lock_label(m) + " -> " +
-                lock_label(second_hop) + "):\n";
-      for (const std::string& s : opposing.stack) detail += "    " + s + "\n";
-    }
-    add_finding_locked(
-        Finding::Kind::kLockCycle, key,
-        "lock-order cycle closed by acquiring " + lock_label(m) +
-            " while holding " + lock_label(h.m),
-        detail);
-  }
-}
-
-void Session::do_acquire(Tid t, const void* m, const char* name,
-                         SourceSite site, bool record_order) {
-  ThreadState& ts = state_of(t);
-  lock_names_.emplace(m, name != nullptr ? name : "?");
-  if (record_order) check_lock_order_locked(t, m, name, site);
   auto sit = sync_.find(m);
   if (sit != sync_.end()) ts.vc.join(sit->second);
-  ts.held.push_back(
-      HeldLock{m, name != nullptr ? name : "?", site});
+  ts.held.push_back(m);
 }
 
 void Session::do_release(Tid t, const void* m) {
@@ -190,18 +89,17 @@ void Session::do_release(Tid t, const void* m) {
   sync_[m] = ts.vc;
   ts.vc.tick(t);
   for (auto it = ts.held.rbegin(); it != ts.held.rend(); ++it) {
-    if (it->m == m) {
+    if (*it == m) {
       ts.held.erase(std::next(it).base());
       break;
     }
   }
 }
 
-void Session::lock_acquire(const void* m, const char* name, const char* file,
-                           unsigned line) {
+void Session::lock_acquire(const void* m, const char* /*name*/,
+                           const char* /*file*/, unsigned /*line*/) {
   std::lock_guard<std::mutex> g(mu_);  // LINT-ALLOW(raw-sync)
-  do_acquire(self_locked(), m, name, SourceSite{file, line},
-             /*record_order=*/true);
+  do_acquire(self_locked(), m);
 }
 
 void Session::lock_release(const void* m) {
@@ -212,9 +110,6 @@ void Session::lock_release(const void* m) {
 void Session::lock_destroy(const void* m) {
   std::lock_guard<std::mutex> g(mu_);  // LINT-ALLOW(raw-sync)
   sync_.erase(m);
-  lock_names_.erase(m);
-  edges_.erase(m);
-  for (auto& [from, out] : edges_) out.erase(m);
 }
 
 void Session::wait_begin(const void* m) {
@@ -222,14 +117,10 @@ void Session::wait_begin(const void* m) {
   do_release(self_locked(), m);
 }
 
-void Session::wait_end(const void* m, const char* name, const char* file,
-                       unsigned line) {
+void Session::wait_end(const void* m, const char* /*name*/,
+                       const char* /*file*/, unsigned /*line*/) {
   std::lock_guard<std::mutex> g(mu_);  // LINT-ALLOW(raw-sync)
-  // Re-acquisition after a wait re-joins the object's clock but does not
-  // create lock-order edges: the wait was entered with the lock already
-  // held, so ordering was checked at the original acquisition.
-  do_acquire(self_locked(), m, name, SourceSite{file, line},
-             /*record_order=*/false);
+  do_acquire(self_locked(), m);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,8 +170,7 @@ void Session::report_race_locked(const Cell& cell, const Access& prev,
   (void)tid;
   std::string detail =
       summary + "\n  no happens-before edge connects the two accesses\n";
-  add_finding_locked(Finding::Kind::kRace, std::move(key), std::move(summary),
-                     std::move(detail));
+  add_finding_locked(std::move(key), std::move(summary), std::move(detail));
 }
 
 void Session::shared_access(const void* cell, const char* what, bool write,
@@ -343,71 +233,6 @@ std::vector<Finding> Session::findings() const {
 bool Session::has_findings() const {
   std::lock_guard<std::mutex> g(mu_);  // LINT-ALLOW(raw-sync)
   return !findings_.empty();
-}
-
-namespace {
-
-void append_json_string(const std::string& s, std::string* out) {
-  *out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
-}  // namespace
-
-void write_lock_order_json(const std::vector<LockOrderEdge>& edges,
-                           std::string* out) {
-  // Appended piecewise for the same GCC 12 -Wrestrict reason as report().
-  *out += "{\n";
-  *out += "  \"version\": 1,\n";
-  *out += "  \"kind\": \"runtime-lock-order-graph\",\n";
-  *out += "  \"edges\": [";
-  for (size_t i = 0; i < edges.size(); ++i) {
-    *out += i == 0 ? "\n" : ",\n";
-    *out += "    {\"from\": ";
-    append_json_string(edges[i].from, out);
-    *out += ", \"to\": ";
-    append_json_string(edges[i].to, out);
-    *out += ", \"stack\": [";
-    for (size_t j = 0; j < edges[i].stack.size(); ++j) {
-      if (j != 0) *out += ", ";
-      append_json_string(edges[i].stack[j], out);
-    }
-    *out += "]}";
-  }
-  *out += "\n  ]\n}\n";
-}
-
-std::vector<LockOrderEdge> Session::lock_order_edges() const {
-  std::lock_guard<std::mutex> g(mu_);  // LINT-ALLOW(raw-sync)
-  std::vector<LockOrderEdge> out;
-  out.reserve(named_edges_.size());
-  for (const auto& [key, stack] : named_edges_)
-    out.push_back(LockOrderEdge{key.first, key.second, stack});
-  return out;  // map iteration order is already (from, to)-sorted
-}
-
-bool Session::dump_lock_order_json(const std::string& path) const {
-  std::string doc;
-  write_lock_order_json(lock_order_edges(), &doc);
-  std::ofstream f(path);
-  f << doc;
-  return static_cast<bool>(f);
 }
 
 std::string Session::report() const {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file checker.h
-/// \brief The concurrency-checker session: vector-clock race detection and
-/// runtime lock-order analysis over the ROC_CHECKHOOK_ event stream.
+/// \brief The concurrency-checker session: vector-clock race detection over
+/// the ROC_CHECKHOOK_ event stream.
 ///
 /// A Session implements check::Hooks.  Install one (install()), run a
 /// scenario, uninstall, then inspect findings().  The detector is
@@ -17,10 +17,9 @@
 ///     a read races a write that the reader's clock does not cover, a
 ///     write races both uncovered writes and uncovered reads.
 ///
-/// The lock-order graph adds an edge held->acquired at every acquisition
-/// made while other locks are held; a cycle means two code paths disagree
-/// about lock order, and the report names the acquisition stacks that
-/// close the cycle.
+/// Lock order is not checked here: rocanalyze R5 finds inversions
+/// statically and TSan's deadlock detector finds them at runtime, across
+/// the roccheck ctest sweeps too (EXPERIMENTS.md, "Mutation matrix").
 ///
 /// Thread-safety: hooks may arrive from any thread; a session serializes
 /// them behind one internal (uninstrumented) mutex.  Hooks never log and
@@ -31,7 +30,6 @@
 #include <mutex>  // LINT-ALLOW(raw-sync): the checker cannot instrument itself
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "check/vector_clock.h"
@@ -48,31 +46,13 @@ struct SourceSite {
   [[nodiscard]] std::string str() const;
 };
 
-/// One confirmed problem.  `detail` is a human-readable multi-line report;
-/// `key` is the deduplication identity (stable across replays).
+/// One confirmed data race.  `detail` is a human-readable multi-line
+/// report; `key` is the deduplication identity (stable across replays).
 struct Finding {
-  enum class Kind { kRace, kLockCycle };
-  Kind kind = Kind::kRace;
   std::string key;
   std::string summary;
   std::string detail;
 };
-
-/// One observed lock-order edge, keyed by runtime lock NAMES (not object
-/// addresses): `from` was held while `to` was acquired, with the
-/// acquisition stack that first created the edge.  Name-keyed edges
-/// survive lock destruction and are comparable across seeds and with the
-/// static graph rocanalyze emits (`--lock-graph-out`).
-struct LockOrderEdge {
-  std::string from;
-  std::string to;
-  std::vector<std::string> stack;
-};
-
-/// Serializes edges as the runtime-lock-order-graph JSON document (the
-/// format `tools/check_lock_subset.py` consumes).
-void write_lock_order_json(const std::vector<LockOrderEdge>& edges,
-                           std::string* out);
 
 class Session final : public Hooks {
  public:
@@ -96,14 +76,6 @@ class Session final : public Hooks {
   /// Deterministic plain-text report of every finding ("" when clean).
   [[nodiscard]] std::string report() const;
 
-  /// Every lock-order edge observed this session, sorted by (from, to).
-  /// Unlike the address-keyed cycle-detection graph, these accumulate for
-  /// the session's whole lifetime: destroying a lock erases its addresses
-  /// from the live graph but never un-observes an ordering.
-  [[nodiscard]] std::vector<LockOrderEdge> lock_order_edges() const;
-  /// Writes lock_order_edges() as JSON to `path`; false on I/O failure.
-  bool dump_lock_order_json(const std::string& path) const;
-
   // --- Hooks ---------------------------------------------------------------
   void lock_acquire(const void* m, const char* name, const char* file,
                     unsigned line) override;
@@ -119,14 +91,9 @@ class Session final : public Hooks {
   void preemption_point(const char* kind) override;
 
  private:
-  struct HeldLock {
-    const void* m = nullptr;
-    std::string name;
-    SourceSite site;
-  };
   struct ThreadState {
     VectorClock vc;
-    std::vector<HeldLock> held;
+    std::vector<const void*> held;  ///< Locks held, in acquisition order.
   };
   struct Access {
     Tid tid = -1;
@@ -139,26 +106,17 @@ class Session final : public Hooks {
     Access last_write;
     std::map<Tid, Access> reads;  ///< Reads since the last write.
   };
-  /// One lock-order edge from->to with the acquisition stack that created
-  /// it (everything held, then the new acquisition site last).
-  struct Edge {
-    std::vector<std::string> stack;
-  };
-
   /// Dense per-session thread id of the calling thread (assigned on first
   /// event; requires mu_).
   Tid self_locked();
   ThreadState& state_of(Tid t);
-  void do_acquire(Tid t, const void* m, const char* name, SourceSite site,
-                  bool record_order);
+  void do_acquire(Tid t, const void* m);
   void do_release(Tid t, const void* m);
-  void add_finding_locked(Finding::Kind kind, std::string key,
-                          std::string summary, std::string detail);
+  void add_finding_locked(std::string key, std::string summary,
+                          std::string detail);
   void report_race_locked(const Cell& cell, const Access& prev,
                           bool prev_write, Tid tid, SourceSite site,
                           bool write);
-  void check_lock_order_locked(Tid t, const void* m, const char* name,
-                               SourceSite site);
 
   const uint64_t id_;  ///< Session generation for thread-id caching.
   Explorer* explorer_ = nullptr;
@@ -170,13 +128,6 @@ class Session final : public Hooks {
   std::map<const void*, VectorClock> sync_;
   std::map<uint64_t, VectorClock> packets_;
   std::map<const void*, Cell> cells_;
-  std::map<const void*, std::map<const void*, Edge>> edges_;
-  std::map<const void*, std::string> lock_names_;
-  /// Name-keyed shadow of edges_: (held name, acquired name) -> first
-  /// acquisition stack.  NOT pruned by lock_destroy (see
-  /// lock_order_edges()).
-  std::map<std::pair<std::string, std::string>, std::vector<std::string>>
-      named_edges_;
   std::set<std::string> seen_keys_;
   std::vector<Finding> findings_;
 };

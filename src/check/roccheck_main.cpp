@@ -2,8 +2,7 @@
 /// \brief Seed-sweep driver for the concurrency checker.
 ///
 ///   roccheck --scenario NAME --seeds N [--seed BASE] [--out DIR]
-///            [--expect-race] [--preempt P] [--lock-graph-out PATH]
-///            [--alloc-report-out PATH]
+///            [--expect-race] [--preempt P]
 ///
 /// Runs NAME under seeds BASE..BASE+N-1, one fresh Session + Explorer per
 /// seed.  Any finding (or scenario failure) prints the seed that produced
@@ -13,18 +12,19 @@
 /// --expect-race inverts the contract for the regression fixture: the
 /// sweep FAILS unless at least one seed finds a race, and the finding
 /// seed is replayed to prove determinism (identical report and trace).
+///
+/// Numeric values are parsed whole: N is an unsigned integer >= 1, BASE an
+/// unsigned integer (no sign on either), P a probability in [0, 1].
+/// Anything else prints the usage text and exits 2.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
+#include <system_error>
 
-#include "check/alloc_hook.h"
 #include "check/checker.h"
 #include "check/explorer.h"
 #include "check/scenarios.h"
@@ -36,41 +36,24 @@ struct Args {
   uint64_t seeds = 1;
   uint64_t base_seed = 1;
   std::string out_dir;
-  std::string lock_graph_out;
-  std::string alloc_report_out;
   bool expect_race = false;
   double preempt = 0.125;
 };
 
-/// Lock-order edges merged across every seed of the sweep, keyed by
-/// runtime lock names (first witness stack wins).  Written as the
-/// runtime-lock-order-graph JSON that the rocanalyze subset check
-/// (tools/check_lock_subset.py) compares against the static graph.
-std::map<std::pair<std::string, std::string>,
-         std::vector<std::string>> g_merged_edges;
-
-void merge_edges(const roc::check::Session& session) {
-  for (auto& e : session.lock_order_edges())
-    g_merged_edges.try_emplace({e.from, e.to}, std::move(e.stack));
-}
-
-bool write_merged_graph(const std::string& path) {
-  std::vector<roc::check::LockOrderEdge> edges;
-  edges.reserve(g_merged_edges.size());
-  for (const auto& [key, stack] : g_merged_edges)
-    edges.push_back(roc::check::LockOrderEdge{key.first, key.second, stack});
-  std::string doc;
-  roc::check::write_lock_order_json(edges, &doc);
-  std::ofstream f(path);
-  f << doc;
-  return static_cast<bool>(f);
+/// True iff all of `s` is one number of type T (from_chars: no sign for
+/// unsigned types, no leading '+' or whitespace, no trailing characters).
+template <typename T>
+bool parse_whole(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --scenario NAME --seeds N [--seed BASE] [--out DIR]"
-               " [--expect-race] [--preempt P] [--lock-graph-out PATH]"
-               " [--alloc-report-out PATH]"
+               " [--expect-race] [--preempt P]"
+               "\n  N >= 1 and BASE are unsigned integers, P is in [0, 1]"
                "\n  scenarios:";
   for (const auto& n : roc::check::scenario_names()) std::cerr << " " << n;
   std::cerr << "\n";
@@ -88,24 +71,23 @@ Args parse(int argc, char** argv) {
     if (arg == "--scenario") {
       a.scenario = value();
     } else if (arg == "--seeds") {
-      a.seeds = std::strtoull(value().c_str(), nullptr, 10);
+      if (!parse_whole(value(), &a.seeds) || a.seeds == 0) usage(argv[0]);
     } else if (arg == "--seed") {
-      a.base_seed = std::strtoull(value().c_str(), nullptr, 10);
+      if (!parse_whole(value(), &a.base_seed)) usage(argv[0]);
     } else if (arg == "--out") {
       a.out_dir = value();
-    } else if (arg == "--lock-graph-out") {
-      a.lock_graph_out = value();
-    } else if (arg == "--alloc-report-out") {
-      a.alloc_report_out = value();
     } else if (arg == "--expect-race") {
       a.expect_race = true;
     } else if (arg == "--preempt") {
-      a.preempt = std::strtod(value().c_str(), nullptr);
+      // Negated so NaN fails too.
+      if (!parse_whole(value(), &a.preempt) ||
+          !(a.preempt >= 0.0 && a.preempt <= 1.0))
+        usage(argv[0]);
     } else {
       usage(argv[0]);
     }
   }
-  if (a.scenario.empty() || a.seeds == 0) usage(argv[0]);
+  if (a.scenario.empty()) usage(argv[0]);
   return a;
 }
 
@@ -113,8 +95,6 @@ struct RunOutput {
   std::string error;
   std::string report;
   std::string trace;
-  bool found_race = false;
-  bool found_cycle = false;
 };
 
 RunOutput run_one(const Args& a, uint64_t seed) {
@@ -126,13 +106,7 @@ RunOutput run_one(const Args& a, uint64_t seed) {
   RunOutput out;
   out.error = roc::check::run_scenario(a.scenario, session, explorer).error;
   out.report = session.report();
-  if (!a.lock_graph_out.empty()) merge_edges(session);
   out.trace = explorer.trace_json();
-  for (const auto& f : session.findings()) {
-    if (f.kind == roc::check::Finding::Kind::kRace) out.found_race = true;
-    if (f.kind == roc::check::Finding::Kind::kLockCycle)
-      out.found_cycle = true;
-  }
   return out;
 }
 
@@ -147,32 +121,6 @@ void dump(const Args& a, uint64_t seed, const RunOutput& out) {
 
 }  // namespace
 
-/// Flushes the merged runtime graph and the interposer's alloc-scope
-/// registry (when requested).  Called on every main() exit path so
-/// partial sweeps still leave inspectable artifacts.
-int finish(const Args& a, int rc) {
-  if (!a.lock_graph_out.empty()) {
-    if (!write_merged_graph(a.lock_graph_out)) {
-      std::cerr << "roccheck: cannot write " << a.lock_graph_out << "\n";
-      return rc == 0 ? 2 : rc;
-    }
-    std::cout << "roccheck: runtime lock-order graph ("
-              << g_merged_edges.size() << " edges) written to "
-              << a.lock_graph_out << "\n";
-  }
-  if (!a.alloc_report_out.empty()) {
-    if (!roc::check::write_alloc_report(a.alloc_report_out)) {
-      std::cerr << "roccheck: cannot write " << a.alloc_report_out << "\n";
-      return rc == 0 ? 2 : rc;
-    }
-    std::cout << "roccheck: runtime alloc report ("
-              << roc::check::alloc_registry_snapshot().size()
-              << " scope label(s)) written to " << a.alloc_report_out
-              << "\n";
-  }
-  return rc;
-}
-
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
 
@@ -184,7 +132,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "roccheck: scenario=" << a.scenario << " seed=" << seed
                 << " crashed: " << e.what() << "\n";
-      return finish(a, 2);
+      return 2;
     }
 
     const bool findings = !out.report.empty();
@@ -195,7 +143,7 @@ int main(int argc, char** argv) {
                 << out.report
                 << "replay: roccheck --scenario " << a.scenario << " --seed "
                 << seed << " --seeds 1 --preempt " << a.preempt << "\n";
-      return finish(a, 1);
+      return 1;
     }
 
     if (findings && !a.expect_race) {
@@ -204,23 +152,23 @@ int main(int argc, char** argv) {
                 << out.report << "replay: roccheck --scenario " << a.scenario
                 << " --seed " << seed << " --seeds 1 --preempt " << a.preempt
                 << "\n";
-      return finish(a, 1);
+      return 1;
     }
 
-    if (findings && a.expect_race && out.found_race) {
+    if (findings && a.expect_race) {
       // The fixture tripped, as it must.  Replay the seed to prove the
       // schedule (and therefore the finding) is deterministic.
       const RunOutput replay = run_one(a, seed);
       if (replay.report != out.report || replay.trace != out.trace) {
         std::cerr << "roccheck: scenario=" << a.scenario << " seed=" << seed
                   << " REPLAY DIVERGED (nondeterministic schedule)\n";
-        return finish(a, 1);
+        return 1;
       }
       std::cout << "roccheck: scenario=" << a.scenario << " seed=" << seed
                 << " caught the planted race after " << (i + 1)
                 << " seed(s); replay deterministic\n"
                 << out.report;
-      return finish(a, 0);
+      return 0;
     }
   }
 
@@ -228,9 +176,9 @@ int main(int argc, char** argv) {
     std::cerr << "roccheck: scenario=" << a.scenario << ": NO seed in ["
               << a.base_seed << ", " << (a.base_seed + a.seeds)
               << ") found the planted race\n";
-    return finish(a, 1);
+    return 1;
   }
   std::cout << "roccheck: scenario=" << a.scenario << ": " << a.seeds
             << " seed(s) clean (base " << a.base_seed << ")\n";
-  return finish(a, 0);
+  return 0;
 }

@@ -42,9 +42,9 @@ class ROC_CAPABILITY("gate") Gate {
  public:
   virtual ~Gate() { ROC_CHECKHOOK_(lock_destroy(this)); }
 
-  /// Names the gate for the checker's lock-order graph and for rocanalyze
-  /// (whose static graph nodes carry the same runtime names).  `name` must
-  /// outlive the gate; call once, right after construction.
+  /// Names the gate for diagnostics and for rocanalyze (whose R5 graph
+  /// nodes carry the same runtime names).  `name` must outlive the gate;
+  /// call once, right after construction.
   void set_name(const char* name) { name_ = name; }
   [[nodiscard]] const char* name() const { return name_; }
 

@@ -132,9 +132,8 @@ void ThreadComm::send(int dest, int tag, SharedBuffer buf) {
     roc::MutexLock lock(box.mutex);
     // Mailbox ring growth is the transport's amortised cost: deque chunks
     // are recycled by the allocator in steady state.
-    ROC_ALLOC_EXEMPT();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: amortised mailbox ring
-    // growth; the payload itself is a reference, not a copy.
+    ROC_ALLOC_EXEMPT("why: amortised mailbox ring growth; the payload "
+                     "itself is a reference, not a copy");
     box.queue.push_back(std::move(e));
   }
   box.cv.notify_all();

@@ -60,7 +60,6 @@ ROC_HOT void RocpandaClient::ship(const Job& job) {
   // from the application thread.  Re-adopting the job's context makes this
   // span a child of the perceived write that queued it (cross-thread edge).
   telemetry::ScopedTraceContext adopt(job.ctx);
-  ROC_ASSERT_NO_ALLOC("RocpandaClient::ship");
   ROC_TRACE_SPAN("client", "ship.background");
   world_.send(server_, kTagWriteBegin, job.header);
   for (const auto& bytes : job.blocks)
@@ -103,7 +102,6 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
   // The whole call is the snapshot's *perceived* cost on this rank (the
   // paper's visible output time); timeline.h groups these by file base.
   ROC_TRACE_SPAN_D("client", "snapshot.perceived", req.file);
-  ROC_ASSERT_NO_ALLOC("RocpandaClient::write_attribute");
   const roccom::Window& w = com.window(req.window);
   const auto& panes = w.panes();
 

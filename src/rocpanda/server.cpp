@@ -148,7 +148,6 @@ class Server {
   /// Receives and dispatches one message; returns true iff it was a
   /// Shutdown.
   ROC_HOT bool handle_message(const comm::Status& st) {
-    ROC_ASSERT_NO_ALLOC("Server::handle_message");
     switch (st.tag) {
       case kTagWriteBegin: {
         auto msg = world_.recv(st.source, kTagWriteBegin);
@@ -321,7 +320,6 @@ class Server {
     // the client write request that produced the block.
     const RequestMeta& meta = *item.meta;
     telemetry::ScopedTraceContext adopt(meta.ctx);
-    ROC_ASSERT_NO_ALLOC("Server::write_item");
     ROC_TRACE_SPAN_D("server", "snapshot.background", meta.header.file);
     telemetry::watchdog::beat("server.background_writer",
                               kWriterDeadlineSeconds);

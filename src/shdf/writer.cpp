@@ -91,9 +91,8 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
   {
     // Retained-until-close directory metadata: one set node per dataset is
     // the format's bookkeeping cost, not per-byte hot-path traffic.
-    ROC_ALLOC_EXEMPT();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: duplicate-name guard,
-    // retained until close; one node per dataset.
+    ROC_ALLOC_EXEMPT("why: duplicate-name guard, retained until close; one "
+                     "node per dataset");
     fresh_name = names_.insert(def.name).second;
   }
   require(fresh_name, "duplicate dataset name: ", def.name);
@@ -136,10 +135,9 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
 
   {
     // Retained-until-close directory metadata (entry name copy + table
-    // growth), mirrored by the static ALLOW below.
-    ROC_ALLOC_EXEMPT();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: one directory entry per
-    // dataset, retained until close; the format's metadata cost.
+    // growth).
+    ROC_ALLOC_EXEMPT("why: one directory entry per dataset, retained until "
+                     "close; the format's metadata cost");
     entries_.push_back(DirEntry{def.name, append_offset_});
   }
   append_offset_ += hdr_.size() + stored_bytes;

@@ -69,7 +69,7 @@ struct PooledRep {
 }  // namespace
 
 void pool_release(BufferPoolState& s, std::vector<unsigned char> bytes) {
-  ROC_ALLOC_EXEMPT();  // free-list growth is the recycler's own cost
+  ROC_ALLOC_EXEMPT("why: free-list growth is the recycler's own cost");
   const size_t b = bucket_of(bytes.capacity());
   MutexLock lock(s.mutex);
   // Annotated for the concurrency checker: release runs on whichever
@@ -94,10 +94,10 @@ BufferPool::BufferPool(size_t max_per_bucket)
 
 std::vector<unsigned char> BufferPool::acquire(size_t n) {
   // The sanctioned channel (DESIGN.md copy discipline): a cold-start miss
-  // allocates, steady state recycles.  Exempt so hot ROC_ASSERT_NO_ALLOC
-  // scopes are never charged for pool warm-up -- mirrored by the static
-  // analyzer's CHANNEL_METHODS leaf set (tools/rocanalyze/allocsum.py).
-  ROC_ALLOC_EXEMPT();
+  // allocates, steady state recycles.  Exempt so allocs/op counters are
+  // never charged for pool warm-up -- mirrored by the static analyzer's
+  // CHANNEL_METHODS leaf set (tools/rocanalyze/allocsum.py).
+  ROC_ALLOC_EXEMPT("why: pool warm-up; steady state recycles");
   const size_t b = detail::bucket_of(n);
   if (b < detail::kPoolBuckets) {
     MutexLock lock(state_->mutex);
@@ -125,8 +125,8 @@ std::vector<unsigned char> BufferPool::acquire(size_t n) {
 }
 
 SharedBuffer BufferPool::seal(std::vector<unsigned char> bytes) {
-  // One PooledRep control block per seal: the channel's documented cost.
-  ROC_ALLOC_EXEMPT();
+  ROC_ALLOC_EXEMPT("why: one PooledRep control block per seal, the "
+                   "channel's documented cost");
   if (bytes.empty()) {
     detail::pool_release(*state_, std::move(bytes));
     return {};

@@ -114,7 +114,7 @@ class BufferChain {
   /// growth is the gather channel's amortised cost, exempt like the pool's
   /// own recycling (see hot.h).
   void append(SharedBuffer b) {
-    ROC_ALLOC_EXEMPT();
+    ROC_ALLOC_EXEMPT("why: amortised segment-list growth");
     total_ += b.size();
     Segment s;
     s.view = ConstBuffer(b);
@@ -124,7 +124,7 @@ class BufferChain {
 
   /// Appends a borrowed segment aliasing `[data, data+n)`.
   void append_borrowed(const void* data, size_t n) {
-    ROC_ALLOC_EXEMPT();
+    ROC_ALLOC_EXEMPT("why: amortised segment-list growth");
     total_ += n;
     segs_.push_back(Segment{ConstBuffer(data, n), SharedBuffer()});
   }

@@ -1,6 +1,6 @@
 #pragma once
 /// \file hot.h
-/// \brief Hot-path annotations and allocation-discipline scopes.
+/// \brief Hot-path annotations and the allocation-exemption bracket.
 ///
 /// ROC_HOT marks a hot-path ROOT for tools/rocanalyze (rules R8-R10): the
 /// static analyzer computes the closure of everything reachable from the
@@ -10,19 +10,19 @@
 /// not descend into (slow-path fallbacks, error reporting).  Both expand
 /// to nothing; they are annotations in the thread_annotations.h sense.
 ///
-/// ROC_ASSERT_NO_ALLOC(label) opens an RAII scope charging every heap
-/// allocation the current thread performs to `label`.  The label must be
-/// the rocanalyze symbol of the enclosing function ("Class::method"), so
-/// tools/check_alloc_subset.py can match runtime observations against the
-/// static R8 report.  ROC_ALLOC_EXEMPT() brackets the sanctioned
-/// BufferPool channel (acquire/seal recycle their backing stores): its
-/// allocations are counted in the raw thread totals but not charged to
-/// any scope, mirroring the static analyzer's channel accounting.
+/// ROC_ALLOC_EXEMPT("why: ...") brackets a sanctioned allocation channel
+/// (BufferPool recycling, retained metadata, amortised ring growth) until
+/// the end of the enclosing block.  It serves both allocation checks:
+/// rocanalyze R8 does not charge allocation sites after it in the same
+/// block, and the runtime interposer (src/check/alloc_hook.cpp) counts
+/// the block's allocations in the raw thread totals but does not charge
+/// them (alloc_test requires zero charged allocations in steady state).  The string says why the channel is
+/// sanctioned; it must start with "why:".
 ///
-/// Like check_hooks.h, product code never links the checker: the scopes
-/// route through a function-pointer gate that src/check/alloc_hook.cpp
-/// installs at static-init time when roc_check is in the image.  Gate
-/// absent (or -DROCPIO_CHECK=OFF): one relaxed atomic load, no code.
+/// Like check_hooks.h, product code never links the checker: the bracket
+/// routes through a function-pointer gate that the interposer installs at
+/// static-init time when roc_check is in the image.  Gate absent (or
+/// -DROCPIO_CHECK=OFF): one relaxed atomic load, no code.
 
 #define ROC_HOT
 #define ROC_COLD
@@ -33,83 +33,49 @@
 
 namespace roc::hot {
 
-/// Interposer entry points (see alloc_hook.cpp).  Token-based so the gate
-/// can nest scopes per thread without this header knowing the layout.
+/// Interposer entry points (see alloc_hook.cpp).
 struct AllocGate {
-  void* (*scope_enter)(const char* label);
-  void (*scope_exit)(void* token);
-  void* (*exempt_enter)();
-  void (*exempt_exit)(void* token);
+  void (*exempt_enter)();
+  void (*exempt_exit)();
 };
 
 namespace detail {
 inline std::atomic<const AllocGate*> g_gate{nullptr};
 }  // namespace detail
 
-inline const AllocGate* gate() {
-  return detail::g_gate.load(std::memory_order_acquire);
-}
-
-/// Installs `g` (nullptr to uninstall).  Called by the interposer's
-/// static initializer; product code never calls this.
+/// Installs `g`.  Called by the interposer's static initializer; product
+/// code never calls this.
 inline void set_gate(const AllocGate* g) {
   detail::g_gate.store(g, std::memory_order_release);
 }
 
-class ScopedNoAlloc {
- public:
-  explicit ScopedNoAlloc(const char* label) {
-    if (const AllocGate* g = gate()) {
-      gate_ = g;
-      token_ = g->scope_enter(label);
-    }
-  }
-  ~ScopedNoAlloc() {
-    if (gate_ != nullptr) gate_->scope_exit(token_);
-  }
-  ScopedNoAlloc(const ScopedNoAlloc&) = delete;
-  ScopedNoAlloc& operator=(const ScopedNoAlloc&) = delete;
-
- private:
-  const AllocGate* gate_ = nullptr;
-  void* token_ = nullptr;
-};
-
 class ScopedAllocExempt {
  public:
-  ScopedAllocExempt() {
-    if (const AllocGate* g = gate()) {
-      gate_ = g;
-      token_ = g->exempt_enter();
-    }
+  ScopedAllocExempt()
+      : gate_(detail::g_gate.load(std::memory_order_acquire)) {
+    if (gate_ != nullptr) gate_->exempt_enter();
   }
   ~ScopedAllocExempt() {
-    if (gate_ != nullptr) gate_->exempt_exit(token_);
+    if (gate_ != nullptr) gate_->exempt_exit();
   }
   ScopedAllocExempt(const ScopedAllocExempt&) = delete;
   ScopedAllocExempt& operator=(const ScopedAllocExempt&) = delete;
 
  private:
-  const AllocGate* gate_ = nullptr;
-  void* token_ = nullptr;
+  const AllocGate* gate_;
 };
 
 }  // namespace roc::hot
 
 #define ROC_HOT_CAT2_(a, b) a##b
 #define ROC_HOT_CAT_(a, b) ROC_HOT_CAT2_(a, b)
-#define ROC_ASSERT_NO_ALLOC(label) \
-  ::roc::hot::ScopedNoAlloc ROC_HOT_CAT_(roc_noalloc_, __LINE__) { label }
-#define ROC_ALLOC_EXEMPT() \
+#define ROC_ALLOC_EXEMPT(why) \
   ::roc::hot::ScopedAllocExempt ROC_HOT_CAT_(roc_allocex_, __LINE__) {}
 
 #else  // !ROCPIO_CHECK
 
-#define ROC_ASSERT_NO_ALLOC(label) \
-  do {                             \
-  } while (0)
-#define ROC_ALLOC_EXEMPT() \
-  do {                     \
+#define ROC_ALLOC_EXEMPT(why) \
+  do {                        \
   } while (0)
 
 #endif  // ROCPIO_CHECK

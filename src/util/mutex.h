@@ -12,9 +12,9 @@
 ///     (`clang++ -Wthread-safety`, the `thread-safety` CI job).
 ///
 ///  2. Dynamic checking.  Each lock, unlock and wait reports to the
-///     deterministic concurrency checker (src/check, `ROC_CHECKHOOK_`),
-///     which builds the named lock-order graph; TSan covers recursive
-///     acquisition.
+///     deterministic concurrency checker (src/check, `ROC_CHECKHOOK_`) as
+///     a happens-before edge; TSan's deadlock detector checks lock order
+///     and recursive acquisition.
 ///
 /// With `-DROCPIO_CHECK=OFF` this compiles to exactly a `std::mutex`: the
 /// checker hooks vanish and every method is a one-line inline forward.
@@ -35,8 +35,8 @@ class ROC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
 
-  /// `name` labels this mutex in the checker's lock-order graph and its
-  /// diagnostics.
+  /// `name` labels this mutex in diagnostics; rocanalyze R5 uses it as the
+  /// lock's node name.
   explicit Mutex(const char* name) : name_(name) { (void)name_; }
 
   Mutex(const Mutex&) = delete;

@@ -196,10 +196,9 @@ class MemFile final : public File {
     if (n == 0) return;
     roc::MutexLock lock(data_->mutex);
     // The backing store models the storage device itself: bytes landing on
-    // the "disk" are not hot-path allocator traffic (runtime-exempted to
-    // mirror the static ALLOW).
-    ROC_ALLOC_EXEMPT();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: simulated-device backing store growth, not hot-path scratch.
+    // the "disk" are not hot-path allocator traffic.
+    ROC_ALLOC_EXEMPT("why: simulated-device backing store growth, not "
+                     "hot-path scratch");
     if (pos_ + n > data_->bytes.size()) data_->bytes.resize(pos_ + n);
     std::memcpy(data_->bytes.data() + pos_, src, n);
     pos_ += n;
@@ -211,8 +210,8 @@ class MemFile final : public File {
     if (total == 0) return;
     // One lock + one resize for the whole gather.
     roc::MutexLock lock(data_->mutex);
-    ROC_ALLOC_EXEMPT();  // simulated-device backing store (see write()).
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: simulated-device backing store growth, not hot-path scratch.
+    ROC_ALLOC_EXEMPT("why: simulated-device backing store growth, not "
+                     "hot-path scratch");
     if (pos_ + total > data_->bytes.size()) data_->bytes.resize(pos_ + total);
     for (const ConstBuffer& s : segments) {
       if (s.size == 0) continue;

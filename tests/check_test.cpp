@@ -1,8 +1,7 @@
 /// \file check_test.cpp
 /// \brief The concurrency checker: vector-clock algebra, happens-before
 /// edges across all four sync primitives (Mutex, CondVar, Gate, message),
-/// lock-order cycle detection, and seed-replay determinism of the
-/// schedule explorer.
+/// and seed-replay determinism of the schedule explorer.
 
 #include <gtest/gtest.h>
 
@@ -97,7 +96,7 @@ TEST(HappensBefore, UnsynchronizedSiblingWritesRace) {
   }
   s.uninstall();
   ASSERT_TRUE(s.has_findings());
-  EXPECT_EQ(s.findings()[0].kind, Finding::Kind::kRace);
+  EXPECT_EQ(s.findings()[0].summary.rfind("data race", 0), 0u);
   EXPECT_NE(s.findings()[0].summary.find("hb.cell"), std::string::npos);
 }
 
@@ -196,39 +195,7 @@ TEST(HappensBefore, MessageReceiveOrdersPayload) {
   EXPECT_FALSE(s.has_findings()) << s.report();
 }
 
-// --- lock-order cycles -------------------------------------------------------
-
-TEST(LockOrder, ThreeMutexCycleIsReported) {
-  // Drives the hook API directly with dummy lock identities: actually
-  // acquiring three mutexes in ABBA order would (correctly) trip TSan's
-  // own deadlock detector and kill the test under -DROCPIO_SANITIZE=thread.
-  Session s;
-  s.install();
-  {
-    int a = 0, b = 0, c = 0;
-    auto pair = [&s](void* first, const char* fname, void* second,
-                     const char* sname) {
-      s.lock_acquire(first, fname, "cycle_fixture.cpp", 1);
-      s.lock_acquire(second, sname, "cycle_fixture.cpp", 2);
-      s.lock_release(second);
-      s.lock_release(first);
-    };
-    pair(&a, "lock-a", &b, "lock-b");  // edge a -> b
-    pair(&b, "lock-b", &c, "lock-c");  // edge b -> c
-    pair(&c, "lock-c", &a, "lock-a");  // edge c -> a: closes the cycle
-    ASSERT_TRUE(s.has_findings());
-    const Finding f = s.findings()[0];
-    EXPECT_EQ(f.kind, Finding::Kind::kLockCycle);
-    // The report names both acquisition stacks that close the cycle.
-    EXPECT_NE(f.detail.find("this acquisition"), std::string::npos)
-        << f.detail;
-    EXPECT_NE(f.detail.find("earlier acquisition"), std::string::npos)
-        << f.detail;
-    EXPECT_NE(f.detail.find("lock-a"), std::string::npos) << f.detail;
-    EXPECT_NE(f.detail.find("lock-c"), std::string::npos) << f.detail;
-  }
-  s.uninstall();
-}
+// --- nested locks -------------------------------------------------------------
 
 TEST(LockOrder, ConsistentNestingIsClean) {
   Session s;
@@ -242,83 +209,6 @@ TEST(LockOrder, ConsistentNestingIsClean) {
   }
   s.uninstall();
   EXPECT_FALSE(s.has_findings()) << s.report();
-}
-
-TEST(LockOrder, NamedEdgesSurviveLockDestruction) {
-  // The cycle-detection graph is address-keyed and pruned when a lock
-  // dies; the exported name-keyed edges must NOT be — an observed
-  // ordering stays observed (that is what the static-subset check
-  // compares against).
-  Session s;
-  s.install();
-  {
-    roc::Mutex a("outer"), b("inner");
-    MutexLock l1(a);
-    MutexLock l2(b);
-  }  // both mutexes destroyed here: lock_destroy fires
-  s.uninstall();
-  const auto edges = s.lock_order_edges();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].from, "outer");
-  EXPECT_EQ(edges[0].to, "inner");
-  ASSERT_EQ(edges[0].stack.size(), 2u);
-  EXPECT_NE(edges[0].stack[0].find("outer acquired at"), std::string::npos);
-  EXPECT_NE(edges[0].stack[1].find("inner acquiring at"), std::string::npos);
-}
-
-TEST(LockOrder, SameNameDistinctObjectsIsNotAnEdge) {
-  // Two memfile mutexes (one per file) share a runtime name; nesting them
-  // is not a lock-ORDER fact between distinct named locks, and exporting
-  // a self-edge would poison the subset comparison.
-  Session s;
-  s.install();
-  {
-    roc::Mutex a("memfile"), b("memfile");
-    MutexLock l1(a);
-    MutexLock l2(b);
-  }
-  s.uninstall();
-  EXPECT_TRUE(s.lock_order_edges().empty());
-}
-
-TEST(LockOrder, DumpLockOrderJsonRoundTrips) {
-  Session s;
-  s.install();
-  {
-    roc::Mutex a("outer\"quoted"), b("inner");
-    MutexLock l1(a);
-    MutexLock l2(b);
-  }
-  s.uninstall();
-  std::string doc;
-  write_lock_order_json(s.lock_order_edges(), &doc);
-  EXPECT_NE(doc.find("\"kind\": \"runtime-lock-order-graph\""),
-            std::string::npos)
-      << doc;
-  // The quote in the lock name must be escaped, not emitted raw.
-  EXPECT_NE(doc.find("outer\\\"quoted"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"to\": \"inner\""), std::string::npos) << doc;
-}
-
-TEST(LockOrder, WaitReacquisitionCreatesNoEdge) {
-  // wait_end re-acquires with record_order=false: the ordering was
-  // checked when the gate was first locked, and the runtime graph must
-  // not grow edges the static analysis (which subtracts released locks
-  // at wait sites) will never produce.
-  Session s;
-  s.install();
-  int gate = 0, other = 0;
-  s.lock_acquire(&other, "other", "wait_fixture.cpp", 1);
-  s.lock_acquire(&gate, "gate-x", "wait_fixture.cpp", 2);
-  s.wait_begin(&gate);
-  s.wait_end(&gate, "gate-x", "wait_fixture.cpp", 3);
-  s.lock_release(&gate);
-  s.lock_release(&other);
-  s.uninstall();
-  const auto edges = s.lock_order_edges();
-  ASSERT_EQ(edges.size(), 1u);  // only other -> gate-x, once
-  EXPECT_EQ(edges[0].from, "other");
-  EXPECT_EQ(edges[0].to, "gate-x");
 }
 
 // --- seed-driven exploration and replay --------------------------------------
@@ -350,8 +240,7 @@ TEST(Explorer, SweepCatchesThePlantedRace) {
     Explorer explorer(o);
     auto result = run_scenario("racy", session, explorer);
     ASSERT_TRUE(result.ok()) << result.error;
-    for (const auto& f : session.findings())
-      caught |= f.kind == Finding::Kind::kRace;
+    caught = session.has_findings();
   }
   EXPECT_TRUE(caught) << "no seed in 1..16 exposed the planted race";
 }

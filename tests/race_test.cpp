@@ -359,9 +359,8 @@ TEST(RaceTest, FlightRingHammer) {
 #if defined(ROCPIO_CHECK)
 /// The allocation interposer under concurrency: per-thread counters must
 /// be exact with siblings allocating at full tilt (they are thread-local
-/// by design -- TSan verifies no shared mutable state backs them), scope
-/// tokens must nest per thread, and the process totals must observe every
-/// allocation exactly once.
+/// by design -- TSan verifies no shared mutable state backs them), and the
+/// process totals must observe every allocation exactly once.
 TEST(RaceTest, AllocCounterHammer) {
   constexpr int kThreads = 4;
   constexpr int kAllocs = 64;
@@ -372,7 +371,6 @@ TEST(RaceTest, AllocCounterHammer) {
     std::vector<roc::Thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        void* tok = check::alloc_scope_enter("RaceTest::AllocCounterHammer");
         const std::uint64_t a0 = check::thread_allocs();
         const std::uint64_t c0 = check::thread_charged_allocs();
         for (int i = 0; i < kAllocs; ++i) {
@@ -384,7 +382,6 @@ TEST(RaceTest, AllocCounterHammer) {
                         check::thread_frees() >= kAllocs;
         charged_sum.fetch_add(check::thread_charged_allocs() - c0,
                               std::memory_order_relaxed);
-        check::alloc_scope_exit(tok);
         exact.fetch_add(ok ? 1 : 0, std::memory_order_relaxed);
       });
     }

@@ -42,15 +42,6 @@ import statistics
 import sys
 from collections import defaultdict
 
-# Benchmarks whose allocs_per_op counter must be EXACTLY zero -- the
-# runtime face of rocanalyze R8 (hot-path allocation discipline), measured
-# by the operator-new interposer in a ROCPIO_CHECK build.  This is an
-# absolute gate, not a baseline ratio: one charged allocation per op is a
-# regression no matter what the committed snapshot says.  In a stub build
-# (ROCPIO_CHECK=OFF) the counter is absent and gates nothing.
-ZERO_ALLOC = ("BM_WireMarshalChain", "BM_BlockShipZeroCopy",
-              "BM_ServerWritePassThrough")
-
 # (legacy benchmark, optimized benchmark) -- compared per size suffix.
 # The optimized side must stay within --threshold of its baseline edge.
 PAIRS = (
@@ -96,10 +87,6 @@ def load(path):
                 continue
             samples.setdefault(b["name"], []).append(float(b["real_time"]))
             units[b["name"]] = b.get("time_unit", "ns")
-            if "allocs_per_op" in b:
-                key = b["name"] + ":allocs_per_op"
-                samples.setdefault(key, []).append(float(b["allocs_per_op"]))
-                units[key] = "allocs"
         values = {k: statistics.median(v) for k, v in samples.items()}
         return values, units, "google-benchmark"
     if isinstance(data, list):
@@ -164,23 +151,6 @@ def compare_pairs(base, cand, threshold, kind="google-benchmark"):
             failures += 1
         print(f"  {key}: advantage {b:.2f}x -> {c:.2f}x "
               f"({change:+.1%}) {status}")
-    return 1 if failures else 0
-
-
-def check_zero_alloc(cand):
-    """Absolute allocs_per_op == 0 gate over the ZERO_ALLOC benchmarks."""
-    keys = sorted(k for k in cand if k.endswith(":allocs_per_op") and
-                  k.split("/")[0] in ZERO_ALLOC)
-    if not keys:
-        print("bench_compare: no allocs_per_op counters in candidate "
-              "(stub build?); zero-alloc gate skipped")
-        return 0
-    failures = 0
-    for key in keys:
-        v = cand[key]
-        status = "ok" if v == 0 else "REGRESSION"
-        failures += v != 0
-        print(f"  {key}: {v:g} (must be 0) {status}")
     return 1 if failures else 0
 
 
@@ -280,9 +250,6 @@ def main(argv=None):
         return compare_absolute(ref, cand, ref_units, args.threshold)
 
     rc = gate(base, base_units, args.baseline)
-
-    if cand_kind == "google-benchmark":
-        rc = max(rc, check_zero_alloc(cand))
 
     if args.history:
         entries = load_history(args.history, args.history_window)

@@ -25,10 +25,10 @@ backing stores, so steady-state traffic through acquire/seal/gather is
 allocation-free, and the one unavoidable control block per seal is the
 channel's documented cost.  The copying ESCAPE HATCHES that same file
 exports (to_vector, copy_of, adopt, gather without a pool) are charged at
-the call site by cxxmodel._classify_alloc_call.  The runtime interposer
-(src/check/alloc_hook.*) brackets the same pool bodies with
-ROC_ALLOC_EXEMPT, so the static report stays a SUPERSET of anything the
-runtime scopes observe (tools/check_alloc_subset.py enforces it).
+the call site by cxxmodel._classify_alloc_call.  Outside the channel, a
+`ROC_ALLOC_EXEMPT("why: ...")` bracket exempts the rest of its block from
+R8 (cxxmodel.collect_alloc_exempts) -- the same marker and extent the
+runtime interposer (src/check/alloc_hook.*) leaves uncharged.
 
 Hot closure boundaries (not descended into, deterministically):
   * ROC_COLD-annotated functions and declarations -- the explicit
@@ -50,9 +50,7 @@ CHANNEL_FILES = ("src/util/buffer.h", "src/util/buffer.cpp")
 # The interposer and annotation plumbing themselves, plus observability
 # (trace/watchdog, lock-discipline tracking) and the deterministic
 # sim substrate: instrumentation and device models are accounted outside
-# the product hot path -- the runtime mirror is their ROC_ALLOC_EXEMPT
-# brackets (or exemption at the call spine), so the static report stays a
-# superset of what the runtime scopes charge.
+# the product hot path.
 INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
                          "src/util/hot.h", "src/util/check_hooks.h",
                          "src/util/mutex.h",
@@ -190,21 +188,6 @@ class Analysis:
             for a in m.allocs:
                 out.append((ci, m, fm, a))
         return out
-
-    # -- witness report (consumed by tools/check_alloc_subset.py) ------------
-
-    def hot_report_json(self):
-        funcs = {}
-        for key in sorted(self.hot):
-            root_label, chain = self.hot[key]
-            allocs = [{"kind": a.kind, "what": a.what,
-                       "file": fm.rel, "line": a.line}
-                      for _ci, _m, fm, a in self.direct_allocs(key)]
-            funcs[_label(key)] = {"root": root_label, "chain": list(chain),
-                                  "allocs": allocs}
-        return {"version": 1, "kind": "static-hot-alloc-report",
-                "roots": [_label(k) for k in self.roots],
-                "hot_functions": funcs}
 
 
 def analyze(models, prog=None):

@@ -1,4 +1,4 @@
-"""Whole-program call graph over the lexical IR (R5-R7 substrate).
+"""Whole-program call graph over the lexical IR (R5, R6, R8-R10 substrate).
 
 Program indexes every method definition the engine produced, keyed by
 (class key, method leaf name), and resolves each cxxmodel.Call to a set of
@@ -14,15 +14,13 @@ candidate definitions:
                                     (`get`, `size`, ...) do not glue the
                                     graph into one blob.
 
-Over-approximation is deliberate: the static lock graph must be a SUPERSET
-of anything the runtime sweep observes (the roccheck subset ctest enforces
-it), so an unresolvable call may fan out, never silently vanish, unless its
-name is hopelessly generic.
+Over-approximation is deliberate: an unresolvable call may fan out, never
+silently vanish, unless its name is hopelessly generic.
 
 Lock identity: LockRef (owning class + field leaf) resolves to the runtime
 lock name harvested from the declaration initializer / set_name() site when
-available, else `Class::leaf`.  Matching runtime names is what makes the
-static graph directly comparable with `roccheck --lock-graph-out`.
+available, else `Class::leaf`, so R5 findings name locks the way the
+runtime (roc::Mutex names, TSan reports) does.
 """
 
 from __future__ import annotations

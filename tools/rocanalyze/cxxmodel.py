@@ -6,7 +6,9 @@ The engine produces this model:
     FileModel
       classes: [ClassInfo]          # classes/structs + a file-scope pseudo
       sites:   [RawSite]            # memcpy / reinterpret_cast occurrences
-      allows:  {line: {rule, ...}}  # ROCANALYZE-ALLOW(rule): suppressions
+      allows:  {line: {rule, ...}}  # ROCANALYZE-ALLOW(rule): suppressions,
+                                    # plus ROC_ALLOC_EXEMPT("why: ...")
+                                    # blocks as r8-hotpath-alloc
     StructLayout                    # per-struct triviality / padding facts
 
 and the rules in rules.py run over the model alone.
@@ -45,6 +47,9 @@ COPY_DISCIPLINE_TYPES = ("SharedBuffer", "BufferChain", "function")
 
 ALLOW_MARKER = "ROCANALYZE-ALLOW"
 ALLOW_RE = re.compile(r"ROCANALYZE-ALLOW\(\s*([\w,\s-]+?)\s*\)\s*:\s*\S")
+# The runtime allocation-exemption bracket (src/util/hot.h) doubles as the
+# R8 exemption for the rest of its block, when it says why.
+ALLOC_EXEMPT_RE = re.compile(r'\bROC_ALLOC_EXEMPT\(\s*"why:\s*[^"\s]')
 
 
 @dataclass
@@ -80,7 +85,7 @@ class LockRef:
 
 @dataclass
 class Call:
-    """One call site inside a method body (interprocedural R5-R7 input)."""
+    """One call site inside a method body (interprocedural rule input)."""
     callee: str      # leaf name of the invoked function/method
     recv: str        # normalized receiver expression ("" = this / free)
     recv_class: str  # best-effort receiver class ("" = unknown)
@@ -120,7 +125,6 @@ class Method:
     return_views: list = dc_field(default_factory=list)  # [ReturnView]
     calls: list = dc_field(default_factory=list)     # [Call]
     acquires: list = dc_field(default_factory=list)  # [Acquire]
-    views: set = dc_field(default_factory=set)  # view-typed locals/params
     allocs: list = dc_field(default_factory=list)    # [Alloc]
     byvalue_params: list = dc_field(default_factory=list)  # [(name, cls)]
     moved: set = dc_field(default_factory=set)  # names passed to std::move
@@ -344,6 +348,19 @@ def extend_allow_spans(allows, stripped):
                 if end_line > cand and end_line - cand <= _ALLOW_SPAN_CAP:
                     for covered in range(cand + 1, end_line + 1):
                         allows.setdefault(covered, set()).update(rules)
+
+
+def collect_alloc_exempts(allows, text, stripped):
+    """Makes `ROC_ALLOC_EXEMPT("why: ...")` an r8-hotpath-alloc allow on
+    every line from the bracket to the end of its enclosing block -- the
+    same extent the RAII bracket exempts at runtime.  A bracket without a
+    `why:` reason exempts nothing statically."""
+    for m in ALLOC_EXEMPT_RE.finditer(text):
+        if stripped[m.start()] != "R":
+            continue  # mentioned in a comment, not code
+        end = _enclosing_scope_end(stripped, m.start())
+        for ln in range(line_of(text, m.start()), line_of(stripped, end) + 1):
+            allows.setdefault(ln, set()).add("r8-hotpath-alloc")
 
 
 SMART_PTR_RE = re.compile(
@@ -597,7 +614,7 @@ def lambda_spans(body):
 
     Lambda bodies get a fresh capability context (like Clang TSA, which
     analyzes them as separate functions): a lambda handed to roc::Thread
-    or AsyncEngine::submit runs later on another thread, so locks held at
+    or Env::spawn_worker runs later on another thread, so locks held at
     the construction site are NOT held inside it.  The trade-off -- an
     immediately-invoked or synchronous-callback lambda under-approximates
     -- is the same one -Wthread-safety makes."""
@@ -795,6 +812,7 @@ def parse_structure(path, rel, text):
     fm = FileModel(path=path, rel=rel)
     fm.allows = collect_allows(text)
     extend_allow_spans(fm.allows, stripped)
+    collect_alloc_exempts(fm.allows, text, stripped)
     tree = build_scope_tree(stripped)
     # Original lines: runtime lock names live in string literals, which the
     # stripped text blanks.
@@ -1180,7 +1198,7 @@ def analyze_body(ci, m, scope, stripped, cross_fields=None):
                                local=lo))
                 break
 
-    # --- Interprocedural inputs (R5-R7) ------------------------------------
+    # --- Interprocedural inputs (R5, R6, R8-R10) ---------------------------
 
     # Local/parameter class tracking, so `s->mutex` resolves to Store::mutex
     # rather than colliding with every other field spelled `mutex`.
@@ -1353,14 +1371,6 @@ def analyze_body(ci, m, scope, stripped, cross_fields=None):
     for mv_ in MOVED_NAME_RE.finditer(scope.header + body):
         m.moved.add(mv_.group(1))
         m.moved.add(cap_leaf(mv_.group(1)))
-
-    # View-typed locals and parameters (R7).
-    for vm in re.finditer(r"\b(?:" + view_alt + r")\s*[*&]?\s+(\w+)\s*[=({;]",
-                          body):
-        m.views.add(vm.group(1))
-    for pname, pcls in param_types.items():
-        if pcls in ("ConstBuffer", "WireBlockView", "string_view"):
-            m.views.add(pname)
 
 
 def _enclosing_scope_end(body, off):

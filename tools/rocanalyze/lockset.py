@@ -1,4 +1,4 @@
-"""Interprocedural lock-set analysis: the R5-R7 rule substrate.
+"""Interprocedural lock-set analysis: the R5 and R6 rule substrate.
 
 Built on callgraph.Program, this module computes, per method, an
 over-approximate summary by fixpoint over the call graph:
@@ -7,12 +7,11 @@ over-approximate summary by fixpoint over the call graph:
             with a witness chain of call frames;
   block(M)  whether M may reach a curated blocking operation (vfs file
             I/O, Comm send/recv/sendv, CondVar::wait, Gate waits,
-            AsyncEngine::submit backpressure, Thread/Worker join, raw
-            syscalls), with the chain.
+            Thread/Worker join, raw syscalls), with the chain.
 
 From the summaries it derives the whole-program static lock acquisition
 graph: an edge A -> B for every point where B may be acquired while A is
-held (directly, or anywhere inside a callee).  The three rules:
+held (directly, or anywhere inside a callee).  The two rules:
 
   r5-lock-cycle          a cycle in the static graph: two code paths
                          disagree about lock order.  Includes cycles no
@@ -21,15 +20,12 @@ held (directly, or anywhere inside a callee).  The three rules:
                          operation.  CondVar::wait(m) / Gate::wait()
                          RELEASE the lock they wait on, so only
                          additionally-held locks count.
-  r7-view-suspension     a borrowing view (ConstBuffer, WireBlockView,
-                         string_view) handed to an async submission or
-                         cross-thread handoff with no pinning SharedBuffer
-                         in the same handoff.
 
-The static graph deliberately over-approximates: `roccheck
---lock-graph-out` exports the runtime acquisition graph and a ctest
-asserts every observed edge appears here (static superset of dynamic); a
-miss is a call-graph soundness bug, not an acceptable imprecision.
+The static graph resolves lock operands through named objects and
+references only: a lock reached through a call expression
+(`MutexLock l(buffer_list().mu)`) is not a graph node, so an inversion
+through one is invisible here.  TSan's deadlock detector on the ctest
+suite covers that gap (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -61,9 +57,6 @@ VFS_BLOCKING_METHODS = frozenset({
 COMM_BLOCKING_METHODS = frozenset({"send", "recv", "sendv", "probe"})
 
 MAX_CHAIN = 6
-PIN_EVIDENCE_RE = re.compile(r"\bpin\b|\bpins\b|SharedBuffer|BufferChain")
-SINK_METHODS = frozenset({"submit", "enqueue", "spawn_worker", "post",
-                          "defer", "dispatch"})
 
 
 def root_info(call):
@@ -99,8 +92,6 @@ def root_info(call):
                 (rc == "" and re.search(r"thread|worker", leaf)):
             return "Thread::join", ()
         return "", ()
-    if cal == "submit" and ("Engine" in rc or rc == ""):
-        return "AsyncEngine::submit (backpressure)", ()
     if cal in COMM_BLOCKING_METHODS and "Comm" in rc:
         return rc + "::" + cal + " (comm)", ()
     if cal == "sendv" and rc == "":
@@ -227,29 +218,6 @@ class Analysis:
                                 self._add_edge(
                                     hn, node, fm.rel, c.line,
                                     ((frame,) + chain)[:MAX_CHAIN])
-
-    # -- graph export --------------------------------------------------------
-
-    def graph_json(self):
-        edges = []
-        for (frm, to) in sorted(self.edges):
-            e = self.edges[(frm, to)]
-            edges.append({"from": frm, "to": to, "file": e.file,
-                          "line": e.line, "path": list(e.chain)})
-        return {"version": 1, "kind": "static-lock-order-graph",
-                "edges": edges}
-
-    def graph_dot(self):
-        out = ["digraph static_lock_order {"]
-        nodes = sorted({n for e in self.edges for n in e})
-        for n in nodes:
-            out.append('  "%s";' % n)
-        for (frm, to) in sorted(self.edges):
-            e = self.edges[(frm, to)]
-            out.append('  "%s" -> "%s" [label="%s:%d"];'
-                       % (frm, to, e.file, e.line))
-        out.append("}")
-        return "\n".join(out) + "\n"
 
     # -- R5: static deadlock cycles -----------------------------------------
 
@@ -405,35 +373,3 @@ def rule_r6(analysis, finding_cls):
                     f"{chain} -- release the lock before the call, or "
                     f"hand the work to a queue drained outside the "
                     f"lock")
-
-
-def rule_r7(analysis, finding_cls):
-    prog = analysis.prog
-    for key, defs in prog.iter_methods():
-        label = Analysis._label(key)
-        for ci, m, fm in defs:
-            view_names = set(m.views)
-            view_names.update(n for n, f in ci.fields.items() if f.is_view)
-            if not view_names:
-                continue
-            reported = set()
-            for c in m.calls:
-                if c.callee not in SINK_METHODS:
-                    continue
-                if PIN_EVIDENCE_RE.search(c.args):
-                    continue
-                hit = next((v for v in sorted(view_names)
-                            if re.search(r"\b" + re.escape(v) + r"\b",
-                                         c.args)), None)
-                if hit is None or (c.callee, hit) in reported:
-                    continue
-                reported.add((c.callee, hit))
-                yield finding_cls(
-                    "r7-view-suspension", fm.rel, c.line, ci.name,
-                    f"{m.name}:{hit}",
-                    f"{label} hands borrowing view `{hit}` to "
-                    f"`{c.callee}(...)` with no pinning SharedBuffer in "
-                    f"the same handoff; the view may dangle before the "
-                    f"async/cross-thread consumer runs -- pass a "
-                    f"SharedBuffer pin alongside the view (the Sqe.pin "
-                    f"pattern) or copy")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """rocanalyze: whole-repo semantic analysis of rocpio-specific invariants.
 
-Seven rule families (see rules.py for the full catalogue):
+Nine rule families, R1-R10 without R7 (rules.py has the full catalogue):
 
   R1 buffer-lifetime      stored/returned borrowing views (ConstBuffer,
                           WireBlockView, std::string_view) must have a
@@ -21,20 +21,14 @@ Seven rule families (see rules.py for the full catalogue):
   R5 static lock order    whole-program lock acquisition graph (call graph
                           + lock-set dataflow) must be acyclic; cycles are
                           potential deadlocks, found without running the
-                          schedule.  --lock-graph-out exports the graph;
-                          roccheck cross-validates it (static ⊇ dynamic).
+                          schedule.
   R6 blocking under lock  no path from a lock-held region to a curated
                           blocking op (vfs I/O, Comm send/recv, waits,
-                          submit backpressure, join, raw syscalls).
-  R7 view suspension      borrowing views must not cross into async
-                          submissions / thread handoffs unpinned.
+                          join, raw syscalls).
   R8 hot-path allocation  nothing reachable from a ROC_HOT root may
                           allocate outside the sanctioned BufferPool
                           channel or an explicit ROC_COLD branch; findings
                           carry the witness chain from the root.
-                          --hot-report-out exports the closure; roccheck's
-                          alloc interposer cross-validates it
-                          (static ⊇ dynamic, tools/check_alloc_subset.py).
   R9 copy discipline      by-value SharedBuffer / BufferChain /
                           std::function parameters must be moved into
                           their final home, and ConstBuffer borrows must
@@ -137,23 +131,12 @@ def main(argv=None):
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))),
         help="repository root (default: grandparent of this file)")
-    ap.add_argument("--rules", default="r1,r2,r3,r4,r5,r6,r7,r8,r9,r10",
+    ap.add_argument("--rules", default="r1,r2,r3,r4,r5,r6,r8,r9,r10",
                     help="comma-separated rule ids or family prefixes "
                          f"(families r1..r10; ids: {', '.join(ALL_RULES)})")
     ap.add_argument("--strict", action="store_true",
                     help="also fail on stale baseline entries and on "
                          "entries whose justification lacks a `why:` tag")
-    ap.add_argument("--lock-graph-out", default="",
-                    help="write the static lock-order graph as JSON "
-                         "(same edge schema as roccheck --lock-graph-out)")
-    ap.add_argument("--lock-graph-dot", default="",
-                    help="write the static lock-order graph as Graphviz "
-                         "DOT")
-    ap.add_argument("--hot-report-out", default="",
-                    help="write the R8 hot-closure witness report as JSON "
-                         "(roots, hot-reachable functions with chains and "
-                         "allocation sites; consumed by "
-                         "tools/check_alloc_subset.py)")
     ap.add_argument("--baseline", default=DEFAULT_BASELINE,
                     help="baseline file (default: committed baseline.json)")
     ap.add_argument("--no-baseline", action="store_true",
@@ -197,32 +180,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
-    from rules import ALLOC_RULES, INTERPROC_RULES
-    analysis = None
-    if (any(r in rules for r in INTERPROC_RULES) or args.lock_graph_out
-            or args.lock_graph_dot):
-        import lockset
-        analysis = lockset.analyze(models)
-    alloc_analysis = None
-    if any(r in rules for r in ALLOC_RULES) or args.hot_report_out:
-        import allocsum
-        alloc_analysis = allocsum.analyze(
-            models, analysis.prog if analysis is not None else None)
-
-    findings = run_rules(models, structs, rules=rules, analysis=analysis,
-                         alloc_analysis=alloc_analysis)
-
-    if args.lock_graph_out:
-        with open(args.lock_graph_out, "w", encoding="utf-8") as fh:
-            json.dump(analysis.graph_json(), fh, indent=2)
-            fh.write("\n")
-    if args.lock_graph_dot:
-        with open(args.lock_graph_dot, "w", encoding="utf-8") as fh:
-            fh.write(analysis.graph_dot())
-    if args.hot_report_out:
-        with open(args.hot_report_out, "w", encoding="utf-8") as fh:
-            json.dump(alloc_analysis.hot_report_json(), fh, indent=2)
-            fh.write("\n")
+    findings = run_rules(models, structs, rules=rules)
 
     if args.out:
         payload = {"engine": engine.name, "rules": rules,

@@ -36,11 +36,8 @@ Interprocedural rules (call graph + lock-set dataflow, see lockset.py):
                     runtime seed sweep ever scheduled.
   r6-blocking-under-lock  A path from a lock-held region to a curated
                     blocking operation (vfs I/O, Comm send/recv/sendv,
-                    CondVar::wait, Gate waits, AsyncEngine::submit
-                    backpressure, Thread::join, raw syscalls), with the
-                    full call chain.
-  r7-view-suspension  A borrowing view handed to an async submission or
-                    cross-thread handoff without a pinning SharedBuffer.
+                    CondVar::wait, Gate waits, Thread::join, raw
+                    syscalls), with the full call chain.
 
 Allocation / copy-discipline rules (hot closure over the same call graph,
 see allocsum.py):
@@ -73,14 +70,12 @@ ALL_RULES = (
     "r4-memcpy-struct", "r4-cast-serialize",
     "r5-lock-cycle",
     "r6-blocking-under-lock",
-    "r7-view-suspension",
     "r8-hotpath-alloc",
     "r9-copy-discipline",
     "r10-cold-escape",
 )
 
-INTERPROC_RULES = ("r5-lock-cycle", "r6-blocking-under-lock",
-                   "r7-view-suspension")
+INTERPROC_RULES = ("r5-lock-cycle", "r6-blocking-under-lock")
 
 ALLOC_RULES = ("r8-hotpath-alloc", "r9-copy-discipline", "r10-cold-escape")
 
@@ -118,8 +113,7 @@ class Finding:
                 f"({self.fingerprint})")
 
 
-def run_rules(models, structs, rules=ALL_RULES, analysis=None,
-              alloc_analysis=None):
+def run_rules(models, structs, rules=ALL_RULES):
     findings = []
     for fm in models:
         if "r1-stored-view" in rules or "r1-return-view" in rules:
@@ -130,21 +124,18 @@ def run_rules(models, structs, rules=ALL_RULES, analysis=None,
             findings.extend(rule_r3(fm))
         if "r4-memcpy-struct" in rules or "r4-cast-serialize" in rules:
             findings.extend(rule_r4(fm, structs))
+    analysis = None
     if any(r in rules for r in INTERPROC_RULES):
         import lockset  # deferred: keeps R1-R4-only runs import-light
-        if analysis is None:
-            analysis = lockset.analyze(models)
+        analysis = lockset.analyze(models)
         if "r5-lock-cycle" in rules:
             findings.extend(lockset.rule_r5(analysis, Finding))
         if "r6-blocking-under-lock" in rules:
             findings.extend(lockset.rule_r6(analysis, Finding))
-        if "r7-view-suspension" in rules:
-            findings.extend(lockset.rule_r7(analysis, Finding))
     if any(r in rules for r in ALLOC_RULES):
         import allocsum  # deferred, same reason as lockset
-        if alloc_analysis is None:
-            alloc_analysis = allocsum.analyze(
-                models, analysis.prog if analysis is not None else None)
+        alloc_analysis = allocsum.analyze(
+            models, analysis.prog if analysis is not None else None)
         if "r8-hotpath-alloc" in rules:
             findings.extend(allocsum.rule_r8(alloc_analysis, Finding))
         if "r9-copy-discipline" in rules:
