@@ -48,10 +48,10 @@ class TraceSession {
       break;
     }
     if (enabled()) {
+      // Recording also arms the flight recorder: crashes, stalls and
+      // require failures dump the last events of every thread next to the
+      // trace.
       roc::telemetry::set_trace_enabled(true);
-      // Traced runs fly with the black box armed: crashes/stalls/require
-      // failures dump the last events of every thread next to the trace.
-      roc::telemetry::flight::set_enabled(true);
       roc::telemetry::flight::set_dump_path("rocpio-flight.json");
       roc::telemetry::flight::install_signal_handlers();
       // Drop anything recorded before the session (e.g. warmup runs).
@@ -65,7 +65,6 @@ class TraceSession {
   ~TraceSession() {
     if (!enabled()) return;
     roc::telemetry::set_trace_enabled(false);
-    roc::telemetry::flight::set_enabled(false);
     roc::telemetry::TraceWriter w(path_);
     for (auto& [label, trace] : batches_) w.add(label, std::move(trace));
     if (w.write())

@@ -1,75 +1,29 @@
 #pragma once
 /// \file flight.h
-/// \brief Always-on flight recorder: lock-free per-thread rings of recent
-/// structured events, dumped to a self-contained JSON file after the fact.
+/// \brief Flight recorder: dumps the newest events of every thread's trace
+/// ring (trace.h) to a self-contained JSON file after the fact.
 ///
-/// The trace ring (trace.h) answers "what happened during this traced
-/// run"; the flight recorder answers "what was every thread doing just
-/// before the crash/stall".  It records span begins/ends, instants, kError
-/// log lines and watchdog findings into fixed-size per-thread rings built
-/// entirely from relaxed std::atomic words: writers never block, readers
-/// (the dump path) never block writers, and a dump is safe from a signal
-/// handler — no locks, no allocation, raw write(2) only.
+/// The Chrome export answers "what happened during this traced run"; the
+/// dump answers "what was every thread doing just before the crash or
+/// stall".  Both read the same rings, armed by set_trace_enabled().  Per
+/// thread the dump shows its name, a count of its events left out, and
+/// its last kDumpEventsPerThread events: span begins (so open spans
+/// show), span ends, instants, kError log lines, require failures and
+/// watchdog findings.  It consumes nothing, and shows an exited thread's
+/// ring until a new thread reuses it.  It is async-signal-safe (no locks,
+/// no allocation, raw write(2)) and skips an event the writer overwrites
+/// while it reads, instead of printing it torn.
 ///
-/// A torn event (reader overlapping a wrapping writer) is possible by
-/// design; each 64-bit word is individually consistent, which is the right
-/// trade for a black box that must not perturb the code under observation.
-///
-/// Dump triggers:
-///   * install_signal_handlers() — SIGSEGV/SIGABRT dump then re-raise;
-///   * roc::require failure — via the require observer, when a dump path
-///     has been configured with set_dump_path();
-///   * a missed watchdog heartbeat (watchdog.h);
-///   * dump_now() on demand.
-///
-/// Timestamps come from telemetry::now(), so recordings work identically
-/// on the real and the virtual (sim) clock.  Recording is off by default
-/// and enabled explicitly (set_enabled) or alongside tracing — the
-/// disabled cost is one relaxed load per event site.
+/// Dump triggers: install_signal_handlers() (SIGSEGV/SIGABRT); a
+/// roc::require failure while recording, when set_dump_path() configured
+/// a path; a missed watchdog heartbeat (watchdog.h); dump_now().
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 
 namespace roc::telemetry::flight {
 
-enum class EventKind : std::uint32_t {
-  kSpanBegin = 0,
-  kSpanEnd = 1,
-  kInstant = 2,
-  kError = 3,
-  kWatchdog = 4,
-};
-
-/// Events retained per thread; older events are overwritten.
-inline constexpr std::size_t kFlightRingCapacity = 256;
-
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-
-[[nodiscard]] inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void set_dump_path(const char*) {}
-inline void record(EventKind, const char*, const char*, double,
-                   std::uint64_t, const char*) {}
-inline void set_thread_name(const char*) {}
-inline void dump_to_fd(int, const char*) {}
-inline bool dump_now(const char*, const char* = nullptr) { return false; }
-inline void install_signal_handlers() {}
-[[nodiscard]] inline std::uint64_t events_recorded() { return 0; }
-
-#else
-
-namespace detail {
-extern std::atomic<bool> g_flight_enabled;
-}  // namespace detail
-
-[[nodiscard]] inline bool enabled() {
-  return detail::g_flight_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns recording on or off process-wide.  Enabling also installs the
-/// log/require observers that feed kError lines and require failures into
-/// the rings.
-void set_enabled(bool on);
+/// Events per thread a dump prints, newest last.
+inline constexpr std::size_t kDumpEventsPerThread = 256;
 
 /// Configures where automatic dumps (require failure, watchdog, signals)
 /// land.  Empty or null disables require-failure auto-dumps; watchdog and
@@ -77,15 +31,6 @@ void set_enabled(bool on);
 /// directory.  The path is copied into a fixed buffer (signal safety);
 /// overlong paths are truncated.
 void set_dump_path(const char* path);
-
-/// Records one event on the calling thread's ring.  `category` and `name`
-/// must be string literals; `detail` (nullable) is truncated to the inline
-/// payload size.  No-op when disabled.
-void record(EventKind kind, const char* category, const char* name,
-            double ts, std::uint64_t trace_id, const char* detail);
-
-/// Names the calling thread in dumps.  Truncated to 31 bytes.
-void set_thread_name(const char* name);
 
 /// Serializes the last events of every thread as one JSON object to `fd`.
 /// Async-signal-safe: raw write(2), no locks, no allocation.
@@ -101,10 +46,5 @@ bool dump_now(const char* reason, const char* path = nullptr);
 /// entry points; sanitizer runs keep their own handlers, so tests do not
 /// install these.
 void install_signal_handlers();
-
-/// Total events recorded process-wide (monotone; test/diagnostic aid).
-[[nodiscard]] std::uint64_t events_recorded();
-
-#endif  // ROCPIO_TELEMETRY_DISABLED
 
 }  // namespace roc::telemetry::flight

@@ -8,6 +8,7 @@
 
 #include "telemetry/clock.h"
 #include "telemetry/flight.h"
+#include "telemetry/trace.h"
 #include "util/log.h"
 #include "util/mutex.h"
 #include "util/thread.h"
@@ -131,8 +132,12 @@ int poll() {
     }
     ++overdue;
     if (!s.missed.exchange(true, std::memory_order_relaxed)) {
-      flight::record(flight::EventKind::kWatchdog, "watchdog", "missed",
-                     now_s, 0, name);
+      using telemetry::detail::EventKind;
+      telemetry::detail::record({.kind = EventKind::kWatchdog,
+                                 .category = "watchdog",
+                                 .name = "missed",
+                                 .ts = now_s},
+                                name);
       ROC_ERROR << "watchdog: heartbeat '" << name << "' overdue: "
                 << age << "s since last beat (deadline " << deadline
                 << "s); dumping flight recorder";

@@ -10,7 +10,8 @@
 /// every iteration.  poll() compares each live heartbeat's age against its
 /// deadline on the telemetry clock (real or virtual); the first poll that
 /// finds a heartbeat overdue
-///   * records a kWatchdog flight event and dumps the flight recorder,
+///   * records a watchdog event in the trace ring (trace.h) and dumps
+///     the flight recorder,
 ///   * logs at error level,
 /// and then stays quiet until the heartbeat recovers (one alarm per
 /// stall).

@@ -12,8 +12,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/alloc_hook.h"
@@ -23,6 +26,7 @@
 #include "rocpanda/client.h"
 #include "rocpanda/layout.h"
 #include "rocpanda/server.h"
+#include "telemetry/flight.h"
 #include "telemetry/trace.h"
 #include "util/log.h"
 #include "util/thread.h"
@@ -275,85 +279,79 @@ TEST(RaceTest, ClientStatsPolledDuringHierarchyShipping) {
   });
 }
 
-/// Spans and instants recorded from several threads while a collector
-/// drains the rings and tracing is toggled mid-flight: the ring mutexes,
-/// the buffer-list registration and the enable flag all race.
+/// Four writers record spans and instants while one thread drains the
+/// rings with collect_trace() and another dumps them: the relaxed-atomic
+/// ring must hand every event to the collector exactly once or count it in
+/// `dropped`, never return one torn, and let the dump read concurrently.
+/// Each writer laps its ring three times, so the drainer loses races with
+/// the wrapping writer.  Every tick instant carries its round number as
+/// detail and, as its parent, the span of the same round.
 TEST(RaceTest, TraceRingHammer) {
+  constexpr int kSpans = static_cast<int>(telemetry::kTraceRingCapacity);
+  const std::string path = testing::TempDir() + "/race_flight_hammer.json";
   (void)telemetry::collect_trace();  // drop anything from earlier tests
   telemetry::set_trace_enabled(true);
   std::atomic<bool> done{false};
-  std::uint64_t collected = 0;
-  roc::Thread collector([&] {
+  std::vector<telemetry::Trace> batches;
+  roc::Thread drainer([&] {
     while (!done.load(std::memory_order_acquire))
-      collected += telemetry::collect_trace().events.size();
+      batches.push_back(telemetry::collect_trace());
+  });
+  roc::Thread dumper([&] {
+    while (!done.load(std::memory_order_acquire))
+      (void)telemetry::flight::dump_now("hammer", path.c_str());
   });
 
-  std::vector<roc::Thread> threads;
+  std::vector<roc::Thread> writers;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([t] {
+    writers.emplace_back([t] {
       telemetry::set_thread_name("hammer " + std::to_string(t));
-      for (int i = 0; i < kRounds; ++i) {
-        ROC_TRACE_SPAN("race", "span");
+      for (int i = 0; i < kSpans; ++i) {
+        ROC_TRACE_SPAN_D("race", "span", std::to_string(i));
         ROC_TRACE_INSTANT_D("race", "tick", std::to_string(i));
       }
     });
   }
-  for (auto& t : threads) t.join();
+  for (auto& t : writers) t.join();
   done.store(true, std::memory_order_release);
-  collector.join();
-  collected += telemetry::collect_trace().events.size();
-  telemetry::set_trace_enabled(false);
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-  EXPECT_EQ(collected, 0u);  // macros compile away entirely
-#else
-  // Rings are far larger than 4*2*kRounds events: nothing may be dropped.
-  EXPECT_EQ(collected, 4u * 2u * kRounds);
-#endif
-}
-
-/// Four threads write flight-recorder events (spans and raw records) while
-/// a dumper repeatedly serializes every ring and tracing stays off: the
-/// all-atomic rings promise that writers never block and that a reader
-/// overlapping a wrapping writer reads torn-but-individually-consistent
-/// words.  TSan holds the relaxed-atomic design to that.
-TEST(RaceTest, FlightRingHammer) {
-  namespace flight = telemetry::flight;
-  const std::string path =
-      testing::TempDir() + "/race_flight_hammer.json";
-  flight::set_enabled(true);
-  [[maybe_unused]] const std::uint64_t before = flight::events_recorded();
-
-  std::atomic<bool> done{false};
-  roc::Thread dumper([&] {
-    while (!done.load(std::memory_order_acquire))
-      (void)flight::dump_now("hammer", path.c_str());
-  });
-
-  std::vector<roc::Thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([t] {
-      flight::set_thread_name(("flight " + std::to_string(t)).c_str());
-      for (int i = 0; i < kRounds; ++i) {
-        // One begin/end pair per span plus one raw instant: 3 events.
-        telemetry::Span span("race", "flight.span");
-        flight::record(flight::EventKind::kInstant, "race", "flight.tick",
-                       telemetry::now(), 0,
-                       std::to_string(i).c_str());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  done.store(true, std::memory_order_release);
+  drainer.join();
   dumper.join();
-
-  flight::set_enabled(false);
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-  EXPECT_EQ(flight::events_recorded(), 0u);
-#else
-  EXPECT_GE(flight::events_recorded() - before, 4u * 3u * kRounds);
-  EXPECT_TRUE(flight::dump_now("final", path.c_str()));
-#endif
+  batches.push_back(telemetry::collect_trace());
+  telemetry::set_trace_enabled(false);
   std::remove(path.c_str());
+
+  std::uint64_t collected = 0, dropped = 0;
+  std::set<std::tuple<int, std::string, std::string>> seen;
+  std::map<std::uint64_t, const telemetry::TraceEvent*> spans;
+  for (const auto& batch : batches) {
+    dropped += batch.dropped;
+    for (const auto& ev : batch.events) {
+      ++collected;
+      ASSERT_STREQ(ev.category, "race");
+      const std::string name = ev.name;
+      ASSERT_TRUE(name == "span" || name == "tick") << name;
+      ASSERT_EQ(ev.dur >= 0.0, name == "span");
+      const int round = std::stoi(ev.detail);
+      ASSERT_TRUE(round >= 0 && round < kSpans &&
+                  std::to_string(round) == ev.detail);
+      EXPECT_TRUE(seen.emplace(ev.tid, name, ev.detail).second)
+          << "collected twice: " << name << " " << ev.detail;
+      if (name == "span") spans[ev.span_id] = &ev;
+    }
+  }
+  for (const auto& batch : batches) {
+    for (const auto& ev : batch.events) {
+      const auto parent = spans.find(ev.parent_id);
+      if (std::string(ev.name) != "tick" || parent == spans.end()) continue;
+      EXPECT_EQ(parent->second->detail, ev.detail);
+      EXPECT_EQ(parent->second->tid, ev.tid);
+    }
+  }
+#if defined(ROCPIO_TELEMETRY_DISABLED)
+  EXPECT_EQ(collected + dropped, 0u);  // macros compile away entirely
+#else
+  EXPECT_EQ(collected + dropped, 4u * 2u * kSpans);
+#endif
 }
 
 #if defined(ROCPIO_CHECK)

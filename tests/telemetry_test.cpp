@@ -2,9 +2,10 @@
 /// \brief Tests for src/telemetry/: trace spans on the swappable clock,
 /// Chrome-trace JSON well-formedness (checked with a strict JSON parser),
 /// the per-snapshot timeline arithmetic (synthetic traces and the real
-/// T-Rochdf pipeline on the simulator), the log satellites (ROC_LOG single
-/// evaluation, ScopedLogCapture, the error->instant mirror), and the exact
-/// values of every service's Stats counters.
+/// T-Rochdf pipeline on the simulator), the flight dump and the ring
+/// registry, the watchdog, the log satellites (ROC_LOG single evaluation,
+/// ScopedLogCapture, the error->instant mirror), and the exact values of
+/// every service's Stats counters.
 
 #include <gtest/gtest.h>
 
@@ -553,14 +554,15 @@ TEST(Timeline, TRochdfOnSimSatisfiesTheFig3Identity) {
 
 #if !defined(ROCPIO_TELEMETRY_DISABLED)
 
-/// Enables the flight recorder for a scope; restores off + no dump path.
+/// Turns recording on with a dump path for a scope; restores off + no
+/// dump path.
 struct ScopedFlight {
   explicit ScopedFlight(const std::string& dump_path = {}) {
     flight::set_dump_path(dump_path.empty() ? nullptr : dump_path.c_str());
-    flight::set_enabled(true);
+    set_trace_enabled(true);
   }
   ~ScopedFlight() {
-    flight::set_enabled(false);
+    set_trace_enabled(false);
     flight::set_dump_path(nullptr);
   }
 };
@@ -575,14 +577,9 @@ std::string slurp(const std::string& path) {
 TEST(FlightRecorder, DumpIsSelfContainedValidJson) {
   const std::string path = testing::TempDir() + "/flight_dump.json";
   ScopedFlight flight_on;
-  flight::set_thread_name("dump test");
-  {
-    // Spans feed the recorder even with tracing itself disabled.
-    ASSERT_FALSE(trace_enabled());
-    Span s("test", "flight.span", "payload");
-  }
-  flight::record(flight::EventKind::kInstant, "test", "flight.instant",
-                 now(), 0, "detail \"quoted\"\\");
+  set_thread_name("dump test");
+  { Span s("test", "flight.span", "payload"); }
+  record_instant("test", "flight.instant", "detail \"quoted\"\\");
   ASSERT_TRUE(flight::dump_now("on demand", path.c_str()));
 
   const std::string json = slurp(path);
@@ -600,19 +597,17 @@ TEST(FlightRecorder, DumpIsSelfContainedValidJson) {
 TEST(FlightRecorder, RingOverflowKeepsTheNewestEvents) {
   const std::string path = testing::TempDir() + "/flight_overflow.json";
   ScopedFlight flight_on;
-  const std::uint64_t before = flight::events_recorded();
-  for (std::size_t i = 0; i < flight::kFlightRingCapacity + 10; ++i) {
-    flight::record(flight::EventKind::kInstant, "test", "overflow", now(), 0,
-                   std::to_string(i).c_str());
-  }
-  EXPECT_EQ(flight::events_recorded() - before,
-            flight::kFlightRingCapacity + 10);
+  const std::size_t n = flight::kDumpEventsPerThread + 10;
+  for (std::size_t i = 0; i < n; ++i)
+    record_instant("test", "overflow", "n" + std::to_string(i));
   ASSERT_TRUE(flight::dump_now("overflow", path.c_str()));
   const std::string json = slurp(path);
   EXPECT_TRUE(JsonChecker::valid(json)) << json;
-  // The newest event survived; this thread reports dropped events.
-  const std::string newest = std::to_string(flight::kFlightRingCapacity + 9);
-  EXPECT_NE(json.find("\"detail\":\"" + newest + "\""), std::string::npos);
+  // The newest event survived, the oldest did not; this thread reports
+  // events left out of the dump.
+  EXPECT_NE(json.find("\"detail\":\"n" + std::to_string(n - 1) + "\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"detail\":\"n0\""), std::string::npos);
   EXPECT_EQ(json.find("\"dropped\":0,\"events\":[{\"kind\":\"instant\","
                       "\"cat\":\"test\",\"name\":\"overflow\""),
             std::string::npos);
@@ -635,10 +630,13 @@ TEST(FlightRecorder, RequireFailureDumpsWhenPathConfigured) {
 
 TEST(FlightRecorder, RequireFailureWithoutPathDoesNotDump) {
   ScopedFlight flight_on;  // enabled, but no dump path configured
-  const std::uint64_t before = flight::events_recorded();
+  (void)collect_trace();
   EXPECT_THROW(require(false, "quiet failure"), InvalidArgument);
   // The failure still lands in the ring for a later crash dump...
-  EXPECT_GT(flight::events_recorded(), before);
+  const Trace t = collect_trace();
+  ASSERT_EQ(t.events.size(), 1u);
+  EXPECT_STREQ(t.events[0].category, "require");
+  EXPECT_EQ(t.events[0].detail, "quiet failure");
   // ...but no rocpio-flight.json appears in the working directory (the
   // routine error-path case must not litter).  dump_now was not called, so
   // nothing to clean up here -- the assertion is the absence of a throw-
@@ -646,12 +644,97 @@ TEST(FlightRecorder, RequireFailureWithoutPathDoesNotDump) {
 }
 
 TEST(FlightRecorder, DisabledRecordsNothing) {
-  ASSERT_FALSE(flight::enabled());
-  const std::uint64_t before = flight::events_recorded();
-  flight::record(flight::EventKind::kInstant, "test", "off", now(), 0,
-                 nullptr);
-  { Span s("test", "off"); }
-  EXPECT_EQ(flight::events_recorded(), before);
+  const std::string path = testing::TempDir() + "/flight_disabled.json";
+  ASSERT_FALSE(trace_enabled());
+  const std::size_t rings = detail::ring_count();
+  roc::Thread([] {
+    set_thread_name("untraced thread");
+    record_instant("test", "off.instant");
+    Span s("test", "off.span");
+  }).join();
+  // Nothing recorded, and no ring allocated for the thread.
+  EXPECT_EQ(detail::ring_count(), rings);
+  ASSERT_TRUE(flight::dump_now("disabled", path.c_str()));
+  const std::string json = slurp(path);
+  EXPECT_EQ(json.find("off."), std::string::npos) << json;
+  EXPECT_EQ(json.find("untraced thread"), std::string::npos) << json;
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, OpenSpansAndDetailsUpToTheInlineLimitSurvive) {
+  const std::string path = testing::TempDir() + "/flight_open.json";
+  ScopedFlight flight_on;
+  (void)collect_trace();
+  std::string exact = "snapshot_base_";
+  while (exact.size() < kTraceDetailBytes)
+    exact += static_cast<char>('a' + exact.size() % 26);
+  const std::string longer = exact + "_and_more";
+  const std::string cut = exact.substr(0, kTraceDetailBytes - 3) + "...";
+  record_instant("test", "long", longer);
+  {
+    Span open("test", "still.open", exact);
+    ASSERT_TRUE(flight::dump_now("open span", path.c_str()));
+  }
+  const std::string json = slurp(path);
+  EXPECT_TRUE(JsonChecker::valid(json)) << json;
+  EXPECT_NE(json.find("{\"kind\":\"span_begin\",\"cat\":\"test\","
+                      "\"name\":\"still.open\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"detail\":\"" + exact + "\""), std::string::npos);
+  EXPECT_NE(json.find("\"detail\":\"" + cut + "\""), std::string::npos);
+
+  const Trace t = collect_trace();
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_EQ(t.events[0].detail, cut);
+  EXPECT_STREQ(t.events[1].name, "still.open");
+  EXPECT_EQ(t.events[1].detail, exact);
+  std::remove(path.c_str());
+}
+
+// --- the ring registry ------------------------------------------------------
+
+/// Regression: the flight recorder used to keep a fixed table of 256 rings,
+/// one per thread ever started, and ignored every thread after that.
+TEST(TraceRing, ThreadAfter300ShortLivedOnesReachesBothReaders) {
+  const std::string path = testing::TempDir() + "/flight_late.json";
+  ScopedFlight flight_on;
+  for (int i = 0; i < 300; ++i)
+    roc::Thread([] { record_instant("test", "short.lived"); }).join();
+  roc::Thread([] {
+    set_thread_name("late thread");
+    record_instant("test", "late.mark");
+  }).join();
+
+  const Trace t = collect_trace();
+  int late = 0;
+  for (const TraceEvent& e : t.events)
+    late += std::string(e.name) == "late.mark";
+  EXPECT_EQ(late, 1);
+  ASSERT_TRUE(flight::dump_now("late", path.c_str()));
+  const std::string json = slurp(path);
+  EXPECT_TRUE(JsonChecker::valid(json));
+  EXPECT_NE(json.find("\"late thread\""), std::string::npos);
+  EXPECT_NE(json.find("\"late.mark\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+/// Regression: trace rings of exited threads used to stay allocated for
+/// good.  Once collected, an exited thread's ring is reused by the next.
+TEST(TraceRing, ExitedThreadsRingsAreReusedOnceCollected) {
+  ScopedTracing tracing;
+  // Rings left by earlier tests in this process are reusable too.
+  const std::size_t before = detail::ring_count();
+  for (int i = 0; i < 200; ++i) {
+    roc::Thread([] {
+      for (std::size_t k = 0; k < kTraceRingCapacity / 2; ++k)
+        Span s("test", "fill");
+    }).join();
+    const Trace t = collect_trace();
+    ASSERT_EQ(t.events.size() + t.dropped, kTraceRingCapacity / 2);
+    // Live threads (this one, which may own a ring) plus one.
+    ASSERT_LE(detail::ring_count(), before + 2u) << "after thread " << i;
+  }
 }
 
 // --- watchdog ---------------------------------------------------------------
@@ -668,9 +751,8 @@ TEST(Watchdog, MissedHeartbeatDumpsEveryThreadOnce) {
   // A second thread leaves its last words in the recorder; the stall dump
   // must carry them even though the thread is long gone.
   roc::Thread other([] {
-    flight::set_thread_name("bystander thread");
-    flight::record(flight::EventKind::kInstant, "test", "bystander.mark",
-                   now(), 0, nullptr);
+    set_thread_name("bystander thread");
+    record_instant("test", "bystander.mark");
   });
   other.join();
 

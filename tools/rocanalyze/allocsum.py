@@ -48,13 +48,15 @@ MAX_CHAIN = 6
 # Files implementing the sanctioned pool/gather channel (see module doc).
 CHANNEL_FILES = ("src/util/buffer.h", "src/util/buffer.cpp")
 # The interposer and annotation plumbing themselves, plus observability
-# (trace/watchdog, lock-discipline tracking) and the deterministic
-# sim substrate: instrumentation and device models are accounted outside
-# the product hot path.
+# (the trace ring with its Chrome export and flight dump, the watchdog,
+# lock-discipline tracking) and the deterministic sim substrate:
+# instrumentation and device models are accounted outside the product hot
+# path.
 INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
                          "src/util/hot.h", "src/util/check_hooks.h",
                          "src/util/mutex.h",
                          "src/telemetry/trace.h", "src/telemetry/trace.cpp",
+                         "src/telemetry/flight.h",
                          "src/telemetry/watchdog.h",
                          "src/telemetry/watchdog.cpp",
                          "src/sim/sim_fs.h", "src/sim/sim_fs.cpp",
@@ -72,7 +74,7 @@ COLD_FREE = frozenset({
 })
 COLD_METHODS = frozenset({
     "write_chrome_trace",          # telemetry trace-file writer
-    "dump_now", "dump_to_fd",      # flight-recorder dumps
+    "dump_now", "dump_to_fd",      # flight dumps (telemetry/trace.cpp)
 })
 
 

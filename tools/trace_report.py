@@ -1,23 +1,13 @@
 #!/usr/bin/env python3
-"""Per-snapshot I/O timeline report from a rocpio Chrome trace.
+"""Critical-path report from a rocpio Chrome trace.
 
 Reads the Chrome-tracing JSON written by the bench harnesses'
-`--trace <path>` flag (bench/bench_trace.h) and derives, per process
-(= traced configuration) and per snapshot, the paper's Fig. 3 quantities:
+`--trace <path>` flag (bench/bench_trace.h).  The harnesses already print
+the per-snapshot perceived / hidden / background / raw-write table and
+emit it as `snapshot_timeline` JSON records (derived in C++ by
+src/telemetry/timeline.cpp); this tool adds what they do not.
 
-  perceived    time the application threads spend inside the output call
-               (max over ranks of their merged "snapshot.perceived" spans)
-  background   writer time spent on the snapshot ("snapshot.background")
-  hidden       background time not overlapping any perceived interval --
-               the I/O cost the pipeline actually hid from the application
-  raw write    "vfs" write/writev/open/flush time inside background spans
-  wall         extent of the snapshot's activity
-
-This mirrors src/telemetry/timeline.cpp so traces can be analysed after
-the fact, without rerunning the bench.  Output: one table per process and
-an ASCII timeline of perceived vs background activity.
-
-With `--critical-path` the stitched flow graph (PR 8: spans carry
+With `--critical-path` the stitched flow graph (spans carry
 trace_id/span_id/parent_id in their args) is walked per request: starting
 from each root span (normally the client's "snapshot.perceived") the walk
 greedily follows the longest child at every step, yielding that request's
@@ -27,10 +17,10 @@ reported step by step, with each step split into perceived time (inside
 the root span's window) and hidden time (after the client already
 returned).
 
-Usage:  tools/trace_report.py TRACE.json [--width N] [--json OUT.json]
-                                         [--critical-path]
+Usage:  tools/trace_report.py TRACE.json --critical-path [--json OUT.json]
 
-Exit status: 0 on success, 2 on malformed input.
+Exit status: 0 on success, 2 on malformed input or without
+--critical-path.
 """
 
 from __future__ import annotations
@@ -39,32 +29,6 @@ import argparse
 import json
 import sys
 from collections import defaultdict
-
-VFS_WRITE_NAMES = {"write", "writev", "open", "flush"}
-
-
-def merge(intervals):
-    """Sorted union of [lo, hi) intervals."""
-    out = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return out
-
-
-def total(merged):
-    return sum(hi - lo for lo, hi in merged)
-
-
-def uncovered(lo, hi, merged):
-    """Length of [lo, hi) not covered by the merged interval union."""
-    left = hi - lo
-    for mlo, mhi in merged:
-        left -= max(0.0, min(hi, mhi) - max(lo, mlo))
-    return max(0.0, left)
-
 
 def load_events(path):
     try:
@@ -86,88 +50,6 @@ def process_names(events):
         if e.get("ph") == "M" and e.get("name") == "process_name":
             names[e.get("pid", 0)] = e.get("args", {}).get("name", "")
     return names
-
-
-def snapshot_timelines(events, pid):
-    """Mirrors telemetry::snapshot_timelines for one pid.  Chrome ts/dur
-    are microseconds; reported values are seconds."""
-    per_base = {}
-
-    def entry(base):
-        return per_base.setdefault(base, {
-            "perceived_by_tid": defaultdict(list),
-            "background": [],
-            "background_tids": [],
-            "writer_tids": set(),
-            "raw_write_s": 0.0,
-        })
-
-    for e in events:
-        if e.get("pid") != pid or e.get("ph") != "X":
-            continue
-        base = e.get("args", {}).get("detail", "")
-        ts, dur, tid = e.get("ts", 0.0), e.get("dur", 0.0), e.get("tid", 0)
-        if e.get("name") == "snapshot.perceived" and base:
-            entry(base)["perceived_by_tid"][tid].append((ts, ts + dur))
-        elif e.get("name") == "snapshot.background" and base:
-            d = entry(base)
-            d["background"].append((ts, ts + dur))
-            d["background_tids"].append(tid)
-            d["writer_tids"].add(tid)
-
-    # Attribute raw vfs spans by midpoint containment in a same-tid
-    # background interval.
-    for e in events:
-        if (e.get("pid") != pid or e.get("ph") != "X"
-                or e.get("cat") != "vfs"
-                or e.get("name") not in VFS_WRITE_NAMES):
-            continue
-        mid = e.get("ts", 0.0) + e.get("dur", 0.0) / 2.0
-        tid = e.get("tid", 0)
-        for base, d in per_base.items():
-            hit = any(lo <= mid <= hi
-                      for (lo, hi), btid in zip(d["background"],
-                                                d["background_tids"])
-                      if btid == tid)
-            if hit:
-                d["raw_write_s"] += e.get("dur", 0.0) / 1e6
-                break
-
-    out = []
-    for base, d in per_base.items():
-        all_iv = [iv for ivs in d["perceived_by_tid"].values() for iv in ivs]
-        all_iv += d["background"]
-        if not all_iv:
-            continue
-        lo = min(iv[0] for iv in all_iv)
-        hi = max(iv[1] for iv in all_iv)
-        perceived_s = max(
-            (total(merge(ivs)) for ivs in d["perceived_by_tid"].values()),
-            default=0.0) / 1e6
-        perceived_union = merge(
-            [iv for ivs in d["perceived_by_tid"].values() for iv in ivs])
-        # Like background, hidden sums *work* over writer threads (it is
-        # compared against background_s, also a sum), so concurrent writers
-        # are not merged -- this mirrors telemetry::snapshot_timelines.
-        background_s = sum(h - l for l, h in d["background"]) / 1e6
-        hidden_s = sum(uncovered(l, h, perceived_union)
-                       for l, h in d["background"]) / 1e6
-        out.append({
-            "snapshot": base,
-            "start": lo / 1e6,
-            "end": hi / 1e6,
-            "wall_s": (hi - lo) / 1e6,
-            "perceived_s": perceived_s,
-            "background_s": background_s,
-            "hidden_s": hidden_s,
-            "raw_write_s": d["raw_write_s"],
-            "client_threads": len(d["perceived_by_tid"]),
-            "writer_threads": len(d["writer_tids"]),
-            "_perceived_union": perceived_union,
-            "_background_union": merge(d["background"]),
-        })
-    out.sort(key=lambda t: t["start"])
-    return out
 
 
 def _hidden_of(e, lo, hi):
@@ -298,43 +180,18 @@ def print_critical_paths(rows):
                   f"(hidden {step['hidden_s']:.3f} s)")
 
 
-def ascii_timeline(timelines, width):
-    """One line per snapshot: '#' where application threads perceive cost,
-    '.' where only background writing runs, '-' idle."""
-    if not timelines:
-        return []
-    lo = min(t["start"] for t in timelines)
-    hi = max(t["end"] for t in timelines)
-    span = max(hi - lo, 1e-12)
-    lines = []
-    for t in timelines:
-        row = ["-"] * width
-        scale = 1e6  # unions are in microseconds
-
-        def paint(unions, ch):
-            for ulo, uhi in unions:
-                a = int((ulo / scale - lo) / span * (width - 1))
-                b = int((uhi / scale - lo) / span * (width - 1))
-                for i in range(max(a, 0), min(b, width - 1) + 1):
-                    if row[i] != "#":
-                        row[i] = ch
-        paint(t["_background_union"], ".")
-        paint(t["_perceived_union"], "#")
-        lines.append((t["snapshot"], "".join(row)))
-    return lines
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", help="Chrome trace JSON (from --trace)")
-    ap.add_argument("--width", type=int, default=60,
-                    help="ASCII timeline width (default 60)")
     ap.add_argument("--json", metavar="OUT",
-                    help="also write the per-snapshot rows as JSON")
+                    help="also write the critical-path rows as JSON")
     ap.add_argument("--critical-path", action="store_true",
                     help="walk the stitched flow graph and report the "
                          "dominating span chain per snapshot")
     args = ap.parse_args(argv)
+    if not args.critical_path:
+        ap.error("nothing to report without --critical-path (the traced "
+                 "harness itself prints the per-snapshot timeline)")
 
     events = load_events(args.trace)
     names = process_names(events)
@@ -342,39 +199,21 @@ def main(argv=None):
 
     all_rows = []
     for pid in pids:
-        timelines = snapshot_timelines(events, pid)
-        if not timelines:
+        cp_rows = critical_paths(events, pid)
+        if not cp_rows:
             continue
         label = names.get(pid, f"pid {pid}")
         print(f"\n== {label} ==")
-        print(f"{'snapshot':<24} {'perceived s':>12} {'hidden s':>12} "
-              f"{'background s':>13} {'raw write s':>12} {'wall s':>10} "
-              f"{'ranks':>6} {'writers':>8}")
-        for t in timelines:
-            print(f"{t['snapshot']:<24} {t['perceived_s']:>12.3f} "
-                  f"{t['hidden_s']:>12.3f} {t['background_s']:>13.3f} "
-                  f"{t['raw_write_s']:>12.3f} {t['wall_s']:>10.3f} "
-                  f"{t['client_threads']:>6d} {t['writer_threads']:>8d}")
-        print("\n  timeline ('#' perceived by the application, "
-              "'.' background write only):")
-        for base, row in ascii_timeline(timelines, args.width):
-            print(f"  {base:<24} |{row}|")
-        for t in timelines:
-            row = {k: v for k, v in t.items() if not k.startswith("_")}
-            row["config"] = label
-            all_rows.append(row)
-        if args.critical_path:
-            cp_rows = critical_paths(events, pid)
-            print_critical_paths(cp_rows)
-            for row in cp_rows:
-                out = dict(row)
-                out["type"] = "critical_path"
-                out["config"] = label
-                all_rows.append(out)
+        print_critical_paths(cp_rows)
+        for row in cp_rows:
+            out = dict(row)
+            out["type"] = "critical_path"
+            out["config"] = label
+            all_rows.append(out)
 
     if not all_rows:
-        print("trace_report: no snapshot spans found "
-              "(was the run traced with snapshot.* spans?)", file=sys.stderr)
+        print("trace_report: no stitched spans found "
+              "(was the run traced?)", file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(all_rows, fh, indent=2)
