@@ -24,7 +24,7 @@
 #include "comm/thread_comm.h"
 #include "telemetry/trace.h"
 #include "mesh/generators.h"
-#include "rocpanda/wire.h"
+#include "roccom/block_wire.h"
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/buffer.h"
@@ -130,25 +130,15 @@ void BM_ShdfReadDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_ShdfReadDataset)->Arg(256)->Arg(16384);
 
-void BM_MeshBlockSerialize(benchmark::State& state) {
-  auto b = mesh::MeshBlock::structured(
-      0, {static_cast<int>(state.range(0)), static_cast<int>(state.range(0)),
-          static_cast<int>(state.range(0))});
-  mesh::add_fluid_schema(b);
-  for (auto _ : state) benchmark::DoNotOptimize(b.serialize());
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(b.payload_bytes()));
-}
-BENCHMARK(BM_MeshBlockSerialize)->Arg(8)->Arg(16);
-
+/// Encode + decode through the production paths: the chain encoder
+/// (flattened, as a receiver holds it) and decode_block, the restart and
+/// migration decoder.
 void BM_WireBlockRoundTrip(benchmark::State& state) {
   auto b = mesh::MeshBlock::structured(0, {12, 12, 12});
   mesh::add_fluid_schema(b);
   for (auto _ : state) {
-    const auto wb = rocpanda::WireBlock::from_block(b, "all");
-    const auto bytes = wb.serialize();
-    benchmark::DoNotOptimize(rocpanda::WireBlock::deserialize(bytes));
+    const auto bytes = roccom::WireBlock::serialize_chain(b, "all").to_vector();
+    benchmark::DoNotOptimize(roccom::decode_block(bytes.data(), bytes.size()));
   }
 }
 BENCHMARK(BM_WireBlockRoundTrip);
@@ -205,7 +195,7 @@ void BM_WireMarshalCopy(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   int64_t bytes = 0;
   for (auto _ : state) {
-    const auto wire = rocpanda::WireBlock::from_block(b, "all").serialize();
+    const auto wire = roccom::WireBlock::from_block(b, "all").serialize();
     bytes = static_cast<int64_t>(wire.size());
     benchmark::DoNotOptimize(wire.data());
   }
@@ -221,14 +211,14 @@ void BM_WireMarshalChain(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   BufferPool pool;
   BufferChain chain;
-  rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+  roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
   {
     const SharedBuffer warm = pool.gather(chain);
     benchmark::DoNotOptimize(warm.data());
   }
   int64_t bytes = 0;
   for (auto _ : state) {
-    rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+    roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
     const SharedBuffer wire = pool.gather(chain);
     bytes = static_cast<int64_t>(wire.size());
     benchmark::DoNotOptimize(wire.data());
@@ -244,13 +234,13 @@ constexpr int kShipsPerRun = 4;
 void BM_BlockShipCopy(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const int64_t wire_bytes = static_cast<int64_t>(
-      rocpanda::WireBlock::from_block(b, "all").serialize().size());
+      roccom::WireBlock::from_block(b, "all").serialize().size());
   for (auto _ : state) {
     comm::World::run(2, [&b](comm::Comm& comm) {
       if (comm.rank() == 0) {
         for (int i = 0; i < kShipsPerRun; ++i) {
           const auto bytes =
-              rocpanda::WireBlock::from_block(b, "all").serialize();
+              roccom::WireBlock::from_block(b, "all").serialize();
           comm.send(1, 1, bytes.data(), bytes.size());
         }
       } else {
@@ -274,16 +264,16 @@ BENCHMARK(BM_BlockShipCopy)->Arg(16)->Arg(48)->UseRealTime();
 void BM_BlockShipZeroCopy(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const int64_t wire_bytes = static_cast<int64_t>(
-      rocpanda::WireBlock::serialize_chain(b, "all").total_bytes());
+      roccom::WireBlock::serialize_chain(b, "all").total_bytes());
   for (auto _ : state) {
     comm::World::run(2, [&b](comm::Comm& comm) {
       if (comm.rank() == 0) {
         BufferPool pool;
         BufferChain chain;
-        rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+        roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
         comm.sendv(1, 1, chain);  // warm-up ship
         for (int i = 0; i < kShipsPerRun; ++i) {
-          rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+          roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
           comm.sendv(1, 1, chain);
         }
       } else {
@@ -324,13 +314,13 @@ std::vector<std::string> write_windows() {
 void BM_ServerWriteMaterialize(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const SharedBuffer wire =
-      SharedBuffer::adopt(rocpanda::WireBlock::from_block(b, "all").serialize());
+      SharedBuffer::adopt(roccom::WireBlock::from_block(b, "all").serialize());
   const std::vector<std::string> windows = write_windows();
   for (auto _ : state) {
     vfs::MemFileSystem fs;
     shdf::Writer w(fs, "f");
     for (int i = 0; i <= kWritesPerRun; ++i)
-      rocpanda::WireBlock::deserialize(wire.to_vector())
+      roccom::WireBlock::deserialize(wire.to_vector())
           .write_to(w, windows[i], 0.0);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -351,9 +341,9 @@ BENCHMARK(BM_ServerWriteMaterialize)->Arg(16)->Arg(48);
 void BM_ServerWritePassThrough(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const SharedBuffer wire =
-      SharedBuffer::adopt(rocpanda::WireBlock::from_block(b, "all").serialize());
-  const rocpanda::WireBlockView view = rocpanda::WireBlockView::parse(wire);
-  rocpanda::WriteScratch scratch;
+      SharedBuffer::adopt(roccom::WireBlock::from_block(b, "all").serialize());
+  const roccom::WireBlockView view = roccom::WireBlockView::parse(wire);
+  roccom::WriteScratch scratch;
   const std::vector<std::string> windows = write_windows();
   for (auto _ : state) {
     vfs::MemFileSystem fs;
@@ -377,7 +367,7 @@ BENCHMARK(BM_ServerWritePassThrough)->Arg(16)->Arg(48);
 void BM_BlockShipZeroCopyTraced(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const int64_t wire_bytes = static_cast<int64_t>(
-      rocpanda::WireBlock::serialize_chain(b, "all").total_bytes());
+      roccom::WireBlock::serialize_chain(b, "all").total_bytes());
   for (auto _ : state) {
     comm::World::run(2, [&b](comm::Comm& comm) {
       if (comm.rank() == 0) {
@@ -386,7 +376,7 @@ void BM_BlockShipZeroCopyTraced(benchmark::State& state) {
           BufferChain chain;
           {
             ROC_TRACE_SPAN("client", "marshal");
-            chain = rocpanda::WireBlock::serialize_chain(b, "all");
+            chain = roccom::WireBlock::serialize_chain(b, "all");
           }
           {
             ROC_TRACE_SPAN("client", "ship");

@@ -6,6 +6,7 @@
 #include "genx/rocface.h"
 #include "mesh/partition.h"
 #include "mesh/refine.h"
+#include "roccom/block_wire.h"
 #include "telemetry/trace.h"
 #include "util/serialize.h"
 
@@ -295,14 +296,15 @@ size_t GenxRun::rebalance() {
                                return b.id() == id;
                              });
       require(it != blocks_.end(), "rebalance: block to migrate not local");
-      clients_.send(m.to, kTagMigrate, it->serialize());
+      clients_.sendv(m.to, kTagMigrate,
+                     roccom::WireBlock::serialize_chain(*it, "all"));
       com_.window(window_of(*it)).remove_pane(id);
       blocks_.erase(it);
       ++my_moves;
     } else if (m.to == clients_.rank()) {
       auto msg = clients_.recv(m.from, kTagMigrate);
       register_block(
-          mesh::MeshBlock::deserialize(msg.payload.data(), msg.payload.size()));
+          roccom::decode_block(msg.payload.data(), msg.payload.size()));
       ++my_moves;
     }
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/crc64.h"
-#include "util/serialize.h"
 
 namespace roc::mesh {
 
@@ -115,53 +114,6 @@ uint64_t MeshBlock::state_checksum() const {
     crc.update(f->data.data(), f->data.size() * sizeof(double));
   }
   return crc.value();
-}
-
-std::vector<unsigned char> MeshBlock::serialize() const {
-  ByteWriter w;
-  w.reserve(payload_bytes() + 256);
-  w.put<int32_t>(id_);
-  w.put<uint8_t>(static_cast<uint8_t>(kind_));
-  for (int d : dims_) w.put<int32_t>(d);
-  w.put<uint64_t>(node_count_);
-  w.put_vector(coords_);
-  w.put_vector(connectivity_);
-  w.put<uint32_t>(static_cast<uint32_t>(fields_.size()));
-  for (const auto& f : fields_) {
-    w.put_string(f.name);
-    w.put<uint8_t>(static_cast<uint8_t>(f.centering));
-    w.put<int32_t>(f.ncomp);
-    w.put_vector(f.data);
-  }
-  return w.take();
-}
-
-MeshBlock MeshBlock::deserialize(const unsigned char* data, size_t n) {
-  ByteReader r(data, n);
-  MeshBlock b;
-  b.id_ = r.get<int32_t>();
-  const auto kind = r.get<uint8_t>();
-  if (kind > 1) throw FormatError("bad mesh kind in serialized block");
-  b.kind_ = static_cast<MeshKind>(kind);
-  for (auto& d : b.dims_) d = r.get<int32_t>();
-  b.node_count_ = r.get<uint64_t>();
-  b.coords_ = r.get_vector<double>();
-  b.connectivity_ = r.get_vector<int32_t>();
-  const auto nfields = r.get<uint32_t>();
-  // Smallest serialized field is ~17 bytes; guard the reserve against
-  // corrupted counts.
-  if (nfields > r.remaining() / 17)
-    throw FormatError("field count exceeds stream in serialized block");
-  b.fields_.reserve(nfields);
-  for (uint32_t i = 0; i < nfields; ++i) {
-    Field f;
-    f.name = r.get_string();
-    f.centering = static_cast<Centering>(r.get<uint8_t>());
-    f.ncomp = r.get<int32_t>();
-    f.data = r.get_vector<double>();
-    b.fields_.push_back(std::move(f));
-  }
-  return b;
 }
 
 void copy_block_attribute(const MeshBlock& src, MeshBlock& dst,

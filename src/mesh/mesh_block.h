@@ -37,7 +37,8 @@ struct Field {
   std::vector<double> data;  ///< ncomp * entity_count values.
 };
 
-/// One mesh block.  Value type: blocks are copied when migrated.
+/// One mesh block (a value type).  Blocks travel between processes in the
+/// block wire format (roccom/block_wire.h); mesh has no encoding of its own.
 class MeshBlock {
  public:
   /// Structured block with ni × nj × nk nodes.
@@ -90,11 +91,6 @@ class MeshBlock {
   /// Order-independent fingerprint of geometry + all field values; used by
   /// restart-equivalence tests.
   [[nodiscard]] uint64_t state_checksum() const;
-
-  /// Flat serialization (portable, little-endian) for migration between
-  /// processes.
-  [[nodiscard]] std::vector<unsigned char> serialize() const;
-  static MeshBlock deserialize(const unsigned char* data, size_t n);
 
  private:
   int id_ = -1;

@@ -1,8 +1,10 @@
 #include "roccom/blockio.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 namespace roc::roccom {
 
@@ -40,6 +42,24 @@ int64_t int_attr(const shdf::Reader& r, const std::string& dataset,
     throw FormatError("dataset '" + dataset + "' lacks integer attribute '" +
                       attr + "'");
   return std::get<int64_t>(*v);
+}
+
+/// Splits a block's coords dataset name, `<window>/block_<id>/coords`;
+/// false for every other dataset.
+bool parse_coords_name(std::string_view name, std::string_view& window,
+                       int& pane_id) {
+  constexpr std::string_view kTail = "/coords";
+  constexpr std::string_view kGroup = "/block_";
+  if (!name.ends_with(kTail)) return false;
+  name.remove_suffix(kTail.size());
+  const size_t g = name.rfind(kGroup);
+  if (g == std::string_view::npos) return false;
+  const std::string_view id = name.substr(g + kGroup.size());
+  const auto [end, ec] =
+      std::from_chars(id.data(), id.data() + id.size(), pane_id);
+  if (ec != std::errc() || end != id.data() + id.size()) return false;
+  window = name.substr(0, g);
+  return true;
 }
 
 }  // namespace
@@ -168,20 +188,55 @@ void write_block(shdf::Writer& w, const std::string& window,
   }
 }
 
+shdf::Writer open_snapshot_file(vfs::FileSystem& fs, const std::string& path,
+                                bool first) {
+  // The paper's services write HDF4; the linear directory reproduces that.
+  return first ? shdf::Writer(fs, path, shdf::DirectoryKind::kLinear)
+               : shdf::Writer::append(fs, path);
+}
+
+std::vector<std::string> snapshot_files(vfs::FileSystem& fs,
+                                        const std::string& prefix,
+                                        const std::string& base) {
+  const std::string stem = prefix + base + "_";
+  constexpr std::string_view kExt = ".shdf";
+  std::vector<std::string> files;
+  for (auto& path : fs.list(stem)) {
+    // What follows the stem must be exactly [ps]<digits>.shdf.
+    std::string_view rest(path);
+    rest.remove_prefix(stem.size());
+    if (rest.size() < 2 + kExt.size() || (rest[0] != 'p' && rest[0] != 's') ||
+        !rest.ends_with(kExt))
+      continue;
+    const std::string_view digits =
+        rest.substr(1, rest.size() - 1 - kExt.size());
+    if (std::all_of(digits.begin(), digits.end(),
+                    [](char c) { return c >= '0' && c <= '9'; }))
+      files.push_back(std::move(path));
+  }
+  return files;  // fs.list returns sorted paths
+}
+
+std::vector<BlockRef> blocks_in_file(const shdf::Reader& r) {
+  std::vector<BlockRef> blocks;
+  std::string_view window;
+  int id = 0;
+  for (const auto& name : r.dataset_names())
+    if (parse_coords_name(name, window, id))
+      blocks.push_back(BlockRef{std::string(window), id});
+  std::sort(blocks.begin(), blocks.end(),
+            [](const BlockRef& a, const BlockRef& b) {
+              return a.window != b.window ? a.window < b.window
+                                          : a.pane_id < b.pane_id;
+            });
+  return blocks;
+}
+
 std::vector<int> pane_ids_in_file(const shdf::Reader& r,
                                   const std::string& window) {
   std::vector<int> ids;
-  const std::string prefix = window + "/block_";
-  for (const auto& name : r.dataset_names_with_prefix(prefix)) {
-    // Match ".../coords" entries only; one per block.
-    const std::string tail = name.substr(prefix.size());
-    int id;
-    char rest[16];
-    if (std::sscanf(tail.c_str(), "%d/%15s", &id, rest) == 2 &&
-        std::string(rest) == "coords")
-      ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  for (const auto& block : blocks_in_file(r))
+    if (block.window == window) ids.push_back(block.pane_id);
   return ids;
 }
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <set>
 
-#include "rocpanda/wire.h"
+#include "roccom/block_wire.h"
 #include "shdf/reader.h"
 #include "telemetry/trace.h"
 #include "telemetry/watchdog.h"
@@ -54,9 +54,7 @@ std::string Rochdf::proc_file(const std::string& prefix,
   return prefix + base + buf;
 }
 
-void Rochdf::write_now(const std::string& path, const std::string& window,
-                       const std::string& attribute, double time,
-                       const std::vector<const Pane*>& panes) {
+shdf::Writer Rochdf::open_writer(const std::string& path) {
   // First touch of a file in this run truncates; later requests for the
   // same snapshot append.
   bool first;
@@ -66,10 +64,13 @@ void Rochdf::write_now(const std::string& path, const std::string& window,
     first = started_files_.insert(path).second;
   }
   if (first) ++files_written_;
-  // The paper's Rochdf writes HDF4; the linear directory reproduces that.
-  shdf::Writer w = first
-                       ? shdf::Writer(fs_, path, shdf::DirectoryKind::kLinear)
-                       : shdf::Writer::append(fs_, path);
+  return roccom::open_snapshot_file(fs_, path, first);
+}
+
+void Rochdf::write_now(const std::string& path, const std::string& window,
+                       const std::string& attribute, double time,
+                       const std::vector<const Pane*>& panes) {
+  shdf::Writer w = open_writer(path);
   for (const Pane* p : panes) {
     roccom::write_block(w, window, *p->block, attribute, time);
     ++blocks_written_;
@@ -85,24 +86,12 @@ void Rochdf::write_job(const Job& job) {
   telemetry::ScopedTraceContext adopt(job.ctx);
   ROC_TRACE_SPAN_D("rochdf", "snapshot.background", job.base);
   telemetry::watchdog::beat("rochdf.writer", kWriterDeadlineSeconds);
-  bool first;
-  {
-    comm::GateLock lock(*gate_);
-    ROC_CHECK_SHARED_WRITE(&started_files_, "rochdf.started_files");
-    first = started_files_.insert(job.file).second;
-  }
-  if (first) ++files_written_;
   if (writer_ && open_path_ != job.file) {
     writer_->close();
     writer_.reset();
   }
   if (!writer_) {
-    if (first)
-      writer_ = std::make_unique<shdf::Writer>(fs_, job.file,
-                                               shdf::DirectoryKind::kLinear);
-    else
-      writer_ = std::make_unique<shdf::Writer>(
-          shdf::Writer::append(fs_, job.file));
+    writer_ = std::make_unique<shdf::Writer>(open_writer(job.file));
     open_path_ = job.file;
     comm::GateLock lock(*gate_);
     ROC_CHECK_SHARED_WRITE(&open_file_, "rochdf.open_file");
@@ -111,8 +100,7 @@ void Rochdf::write_job(const Job& job) {
   for (const auto& b : job.blocks) {
     // Pass-through: dataset payloads stream straight from the buffered
     // wire bytes; no MeshBlock is reconstructed.
-    rocpanda::WireBlockView::parse(b).write_to(*writer_, job.window,
-                                               job.time);
+    roccom::WireBlockView::parse(b).write_to(*writer_, job.window, job.time);
     ++blocks_written_;
   }
 }
@@ -213,7 +201,7 @@ void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
     ROC_TRACE_SPAN("rochdf", "marshal");
     for (const Pane* p : panes) {
       SharedBuffer wire = pool_.gather(
-          rocpanda::WireBlock::serialize_chain(*p->block, req.attribute));
+          roccom::WireBlock::serialize_chain(*p->block, req.attribute));
       bytes += wire.size();
       job.blocks.push_back(std::move(wire));
     }
@@ -256,29 +244,14 @@ std::vector<mesh::MeshBlock> Rochdf::fetch_blocks(
   const std::set<int> wanted(pane_ids.begin(), pane_ids.end());
   std::vector<mesh::MeshBlock> out;
 
-  // Scan every file of this snapshot -- per-process ("_p", Rochdf) or
-  // per-server ("_s", Rocpanda): the services' checkpoints are
-  // interchangeable.  Works regardless of how many processes wrote it.
-  std::vector<std::string> files;
-  for (const char* kind : {"_p", "_s"})
-    for (const auto& f : fs_.list(options_.file_prefix + file + kind))
-      files.push_back(f);
-  for (const auto& path : files) {
-    // fs paths are relative to the FileSystem, and file_prefix is part of
-    // them; the Reader wants the same relative path.
+  // Every file of this snapshot, whichever service wrote it and however
+  // many processes did; blocks may live in any window.
+  for (const auto& path :
+       roccom::snapshot_files(fs_, options_.file_prefix, file)) {
     shdf::Reader r(fs_, path);
-    // Blocks may live in any window; scan every window prefix present.
-    std::set<std::string> windows;
-    for (const auto& name : r.dataset_names()) {
-      const auto slash = name.find('/');
-      if (slash != std::string::npos) windows.insert(name.substr(0, slash));
-    }
-    for (const auto& win : windows) {
-      for (int id : roccom::pane_ids_in_file(r, win)) {
-        if (wanted.count(id) == 0) continue;
-        out.push_back(roccom::read_block(r, win, id));
-      }
-    }
+    for (const auto& block : roccom::blocks_in_file(r))
+      if (wanted.count(block.pane_id) != 0)
+        out.push_back(roccom::read_block(r, block.window, block.pane_id));
   }
   std::sort(out.begin(), out.end(),
             [](const mesh::MeshBlock& a, const mesh::MeshBlock& b) {
@@ -290,20 +263,10 @@ std::vector<mesh::MeshBlock> Rochdf::fetch_blocks(
 std::vector<int> Rochdf::list_panes(const std::string& file) {
   sync();
   std::set<int> ids;
-  std::vector<std::string> files;
-  for (const char* kind : {"_p", "_s"})
-    for (const auto& f : fs_.list(options_.file_prefix + file + kind))
-      files.push_back(f);
-  for (const auto& path : files) {
-    shdf::Reader r(fs_, path);
-    std::set<std::string> windows;
-    for (const auto& name : r.dataset_names()) {
-      const auto slash = name.find('/');
-      if (slash != std::string::npos) windows.insert(name.substr(0, slash));
-    }
-    for (const auto& win : windows)
-      for (int id : roccom::pane_ids_in_file(r, win)) ids.insert(id);
-  }
+  for (const auto& path :
+       roccom::snapshot_files(fs_, options_.file_prefix, file))
+    for (const auto& block : roccom::blocks_in_file(shdf::Reader(fs_, path)))
+      ids.insert(block.pane_id);
   return {ids.begin(), ids.end()};
 }
 

@@ -98,6 +98,8 @@ class Rochdf final : public roccom::IoService {
     telemetry::TraceContext ctx;
   };
 
+  /// Opens a per-process file for writing, counting first touches.
+  shdf::Writer open_writer(const std::string& path) ROC_EXCLUDES(gate_);
   /// Synchronous write of one request into the per-process file
   /// (append-creates the file; used directly in non-threaded mode and by
   /// the worker in threaded mode).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "roccom/block_wire.h"
 #include "rocpanda/wire.h"
 #include "telemetry/trace.h"
 #include "util/log.h"
@@ -13,6 +14,7 @@ namespace roc::rocpanda {
 using roccom::IoRequest;
 using roccom::Pane;
 using roccom::Roccom;
+using roccom::WireBlock;
 
 RocpandaClient::RocpandaClient(comm::Comm& world, comm::Env& env,
                                const Layout& layout, ClientOptions options)
@@ -240,7 +242,7 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
   for (uint32_t i = 0; i < count; ++i) {
     auto msg = world_.recv(comm::kAnySource, kTagReadBlock);
     blocks.push_back(
-        mesh::MeshBlock::deserialize(msg.payload.data(), msg.payload.size()));
+        roccom::decode_block(msg.payload.data(), msg.payload.size()));
   }
   blocks_fetched_ += count;
 

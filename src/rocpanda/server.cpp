@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "roccom/block_wire.h"
 #include "roccom/blockio.h"
 #include "rocpanda/wire.h"
 #include "shdf/reader.h"
@@ -51,10 +52,11 @@ struct RequestMeta {
 /// One buffered (not yet written) block.
 struct BufferedItem {
   std::shared_ptr<const RequestMeta> meta;  ///< Shared, not copied.
-  SharedBuffer wire_bytes;  ///< Serialized WireBlock, as received.
-  /// Parsed header view over wire_bytes; its payloads are written without
-  /// reconstructing a MeshBlock.
-  WireBlockView view;
+  /// The received wire bytes, parsed in place: their payloads are written
+  /// without reconstructing a MeshBlock.
+  // ROCANALYZE-ALLOW(r1-stored-view): why: the view shares ownership of the
+  // wire bytes it parses (a SharedBuffer member), so it cannot dangle.
+  roccom::WireBlockView view;
 };
 
 /// Per-client state of an in-progress write request.
@@ -188,10 +190,9 @@ class Server {
 
         BufferedItem item;
         item.meta = ctx.meta;  // shared reference, no string copies
-        item.wire_bytes = std::move(msg.payload);
         // Parse the header up front: malformed blocks fail at receive time,
         // and the view is what write_item streams from.
-        item.view = WireBlockView::parse(item.wire_bytes);
+        item.view = roccom::WireBlockView::parse(std::move(msg.payload));
 
         if (opts_.active_buffering) {
           buffer_item(std::move(item));
@@ -245,7 +246,7 @@ class Server {
     // lets the checker prove that stays true across schedules.
     ROC_CHECK_SHARED_WRITE(&buffer_, "server.buffer");
     ROC_TRACE_SPAN_D("server", "buffer", item.meta->header.file);
-    const uint64_t bytes = item.wire_bytes.size();
+    const uint64_t bytes = item.view.wire_bytes().size();
     // Graceful overflow: write the oldest buffered blocks until the new
     // one fits (paper §6.1).
     while (buffered_bytes_ + bytes > opts_.buffer_capacity &&
@@ -273,7 +274,7 @@ class Server {
     ROC_CHECK_SHARED_WRITE(&buffer_, "server.buffer");
     BufferedItem item = std::move(buffer_.front());
     buffer_.pop_front();
-    buffered_bytes_ -= item.wire_bytes.size();
+    buffered_bytes_ -= item.view.wire_bytes().size();
     write_item(item);
   }
 
@@ -289,17 +290,11 @@ class Server {
     if (!writer_) {
       // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file, not
       // per block (file-tracking bookkeeping and Writer construction).
-      if (started_files_.insert(path).second) {
-        // The paper writes HDF4; the linear directory reproduces that.
-        // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
-        writer_ = std::make_unique<shdf::Writer>(
-            fs_, path, shdf::DirectoryKind::kLinear);
-        ++stats_.files_created;
-      } else {
-        // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per re-opened file.
-        writer_ = std::make_unique<shdf::Writer>(
-            shdf::Writer::append(fs_, path));
-      }
+      const bool first = started_files_.insert(path).second;
+      if (first) ++stats_.files_created;
+      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
+      writer_ = std::make_unique<shdf::Writer>(
+          roccom::open_snapshot_file(fs_, path, first));
       open_path_ = path;
     }
   }
@@ -340,11 +335,7 @@ class Server {
   /// server files or Rochdf "_pNNNN" per-process files — the services are
   /// interchangeable, so their checkpoints are too).
   std::vector<std::string> my_files(const std::string& base) const {
-    std::vector<std::string> all;
-    for (const char* kind : {"_s", "_p"})
-      for (const auto& f : fs_.list(opts_.file_prefix + base + kind))
-        all.push_back(f);
-    std::sort(all.begin(), all.end());
+    const auto all = roccom::snapshot_files(fs_, opts_.file_prefix, base);
     std::vector<std::string> mine;
     for (size_t i = 0; i < all.size(); ++i)
       if (static_cast<int>(i % static_cast<size_t>(layout_.nservers())) ==
@@ -406,21 +397,12 @@ class Server {
     std::vector<PlannedSend> plan;
     std::map<int, uint32_t> counts;  // client -> blocks it will receive
     for (const auto& path : my_files(first.file)) {
-      shdf::Reader r(fs_, path);
-      std::set<std::string> windows;
-      for (const auto& name : r.dataset_names()) {
-        const auto slash = name.find('/');
-        if (slash != std::string::npos)
-          windows.insert(name.substr(0, slash));
-      }
-      for (const auto& win : windows) {
+      for (auto& [win, id] : roccom::blocks_in_file(shdf::Reader(fs_, path))) {
         if (!first.window.empty() && win != first.window) continue;
-        for (int id : roccom::pane_ids_in_file(r, win)) {
-          auto it = owner.find(id);
-          if (it == owner.end()) continue;  // written but not requested
-          plan.push_back(PlannedSend{path, win, id, it->second});
-          ++counts[it->second];
-        }
+        auto it = owner.find(id);
+        if (it == owner.end()) continue;  // written but not requested
+        plan.push_back(PlannedSend{path, std::move(win), id, it->second});
+        ++counts[it->second];
       }
     }
 
@@ -448,8 +430,9 @@ class Server {
       world_.send(c, kTagReadPlan, pw.take());
     }
 
-    // Pass 2: read and ship the blocks.  The plan is grouped by file, so
-    // one Reader serves consecutive entries.
+    // Pass 2: read and ship the blocks in the block wire format (sendv
+    // gathers the chain once).  The plan is grouped by file, so one Reader
+    // serves consecutive entries.
     std::string cur_path;
     std::unique_ptr<shdf::Reader> reader;
     for (const auto& p : plan) {
@@ -459,7 +442,8 @@ class Server {
       }
       const mesh::MeshBlock block =
           roccom::read_block(*reader, p.window, p.pane_id);
-      world_.send(p.owner, kTagReadBlock, block.serialize());
+      world_.sendv(p.owner, kTagReadBlock,
+                   roccom::WireBlock::serialize_chain(block, "all"));
     }
   }
 
@@ -473,17 +457,9 @@ class Server {
       require(b == base, "clients disagree on the listed file name");
     // Scan my round-robin share of the files, union ids across servers.
     std::set<int32_t> ids;
-    for (const auto& path : my_files(base)) {
-      shdf::Reader r(fs_, path);
-      std::set<std::string> windows;
-      for (const auto& name : r.dataset_names()) {
-        const auto slash = name.find('/');
-        if (slash != std::string::npos)
-          windows.insert(name.substr(0, slash));
-      }
-      for (const auto& win : windows)
-        for (int id : roccom::pane_ids_in_file(r, win)) ids.insert(id);
-    }
+    for (const auto& path : my_files(base))
+      for (const auto& block : roccom::blocks_in_file(shdf::Reader(fs_, path)))
+        ids.insert(block.pane_id);
     ByteWriter w;
     w.put_vector(std::vector<int32_t>(ids.begin(), ids.end()));
     auto all = server_comm_.allgather(w.take());
@@ -518,7 +494,7 @@ class Server {
   std::set<std::string> started_files_;
   /// Per-dataset name/def/chain storage recycled across all blocks the
   /// background writer streams out.
-  WriteScratch write_scratch_;
+  roccom::WriteScratch write_scratch_;
 
   /// Returned by run(); only the serve-loop thread touches it.
   ServerStats stats_;

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <set>
 
 #include "mesh/mesh_block.h"
 #include "roccom/blockio.h"
@@ -178,13 +177,9 @@ ExportStats export_snapshot_vtk(vfs::FileSystem& fs,
                                 const std::string& snapshot_base,
                                 const std::string& window,
                                 const std::string& out_path) {
-  std::set<std::string> files;
-  for (const char* kind : {"_p", "_s"})
-    for (const auto& f : fs.list(snapshot_base + kind)) files.insert(f);
+  const auto files = roccom::snapshot_files(fs, "", snapshot_base);
   require(!files.empty(), "no files for snapshot ", snapshot_base);
-  return export_window_vtk(
-      fs, std::vector<std::string>(files.begin(), files.end()), window,
-      out_path);
+  return export_window_vtk(fs, files, window, out_path);
 }
 
 }  // namespace roc::viz

@@ -15,7 +15,7 @@
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
 #include "mesh/mesh_block.h"
-#include "rocpanda/wire.h"
+#include "roccom/block_wire.h"
 #include "shdf/writer.h"
 #include "util/buffer.h"
 #include "util/hot.h"
@@ -108,11 +108,11 @@ TEST(ZeroAllocPipeline, MarshalSteadyStateIsSilent) {
   const auto b = fluid_block(48);
   BufferPool pool;
   BufferChain chain;
-  rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+  roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
   { auto warm = pool.gather(chain); escape(warm.data()); }
   const uint64_t c0 = check::thread_charged_allocs();
   for (int i = 0; i < 4; ++i) {
-    rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+    roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
     auto wire = pool.gather(chain);
     escape(wire.data());
   }
@@ -127,11 +127,11 @@ TEST(ZeroAllocPipeline, ShipSteadyStateIsSilent) {
     if (comm.rank() == 0) {
       BufferPool pool;
       BufferChain chain;
-      rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+      roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
       comm.sendv(1, 1, chain);  // warm-up ship, excluded from accounting
       const uint64_t c0 = check::thread_charged_allocs();
       for (int i = 0; i < 4; ++i) {
-        rocpanda::WireBlock::serialize_chain_into(b, "all", &pool, chain);
+        roccom::WireBlock::serialize_chain_into(b, "all", &pool, chain);
         comm.sendv(1, 1, chain);
       }
       charged.fetch_add(check::thread_charged_allocs() - c0,
@@ -149,9 +149,9 @@ TEST(ZeroAllocPipeline, ShipSteadyStateIsSilent) {
 TEST(ZeroAllocPipeline, PassThroughWriteSteadyStateIsSilent) {
   const auto b = fluid_block(48);
   const SharedBuffer wire = SharedBuffer::adopt(
-      rocpanda::WireBlock::from_block(b, "all").serialize());
-  const auto view = rocpanda::WireBlockView::parse(wire);
-  rocpanda::WriteScratch scratch;
+      roccom::WireBlock::from_block(b, "all").serialize());
+  const auto view = roccom::WireBlockView::parse(wire);
+  roccom::WriteScratch scratch;
   vfs::MemFileSystem fs;
   shdf::Writer w(fs, "f");
   view.write_to(w, "wa0", 0.0, &scratch);  // warm

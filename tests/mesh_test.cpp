@@ -54,35 +54,6 @@ TEST(MeshBlock, FieldsSizedByCentering) {
   EXPECT_THROW((void)b.field("nope"), InvalidArgument);
 }
 
-TEST(MeshBlock, SerializeRoundTripStructured) {
-  auto b = MeshBlock::structured(7, {3, 4, 2});
-  for (size_t i = 0; i < b.coords().size(); ++i)
-    b.coords()[i] = 0.25 * static_cast<double>(i);
-  auto& f = b.add_field("temp", Centering::kElement, 1);
-  std::iota(f.data.begin(), f.data.end(), 100.0);
-
-  const auto bytes = b.serialize();
-  const auto c = MeshBlock::deserialize(bytes.data(), bytes.size());
-  EXPECT_EQ(c.id(), 7);
-  EXPECT_EQ(c.node_dims(), b.node_dims());
-  EXPECT_EQ(c.coords(), b.coords());
-  EXPECT_EQ(c.field("temp").data, f.data);
-  EXPECT_EQ(c.state_checksum(), b.state_checksum());
-}
-
-TEST(MeshBlock, SerializeRoundTripUnstructured) {
-  auto b = MeshBlock::unstructured(9, 5, {0, 1, 2, 3, 1, 2, 3, 4});
-  b.coords()[0] = 1.5;
-  auto& f = b.add_field("stress", Centering::kElement, 6);
-  f.data[3] = -2.0;
-
-  const auto bytes = b.serialize();
-  const auto c = MeshBlock::deserialize(bytes.data(), bytes.size());
-  EXPECT_EQ(c.kind(), MeshKind::kUnstructured);
-  EXPECT_EQ(c.connectivity(), b.connectivity());
-  EXPECT_EQ(c.state_checksum(), b.state_checksum());
-}
-
 TEST(MeshBlock, ChecksumSensitivity) {
   auto b = MeshBlock::structured(1, {3, 3, 3});
   b.add_field("p", Centering::kElement, 1);

@@ -11,10 +11,10 @@
 
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
+#include "roccom/block_wire.h"
 #include "roccom/blockio.h"
 #include "rocpanda/client.h"
 #include "rocpanda/server.h"
-#include "rocpanda/wire.h"
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "sim/sim_comm.h"
@@ -177,12 +177,12 @@ INSTANTIATE_TEST_SUITE_P(Capacities, BufferCapacitySweep,
 
 TEST(Fuzz, TruncatedMeshBlockNeverCrashes) {
   auto b = make_block(7, 5);
-  const auto bytes = b.serialize();
+  const auto bytes = roccom::WireBlock::serialize_chain(b, "all").to_vector();
   Rng rng(42);
   for (int i = 0; i < 200; ++i) {
     const size_t cut = rng.next_below(bytes.size());
     try {
-      (void)mesh::MeshBlock::deserialize(bytes.data(), cut);
+      (void)roccom::decode_block(bytes.data(), cut);
       // Short prefixes can occasionally parse as an empty-ish block only
       // if all vector lengths happen to fit; tolerated as long as no UB.
     } catch (const Error&) {
@@ -193,7 +193,7 @@ TEST(Fuzz, TruncatedMeshBlockNeverCrashes) {
 
 TEST(Fuzz, CorruptedMeshBlockNeverCrashes) {
   auto b = make_block(7, 5);
-  auto bytes = b.serialize();
+  auto bytes = roccom::WireBlock::serialize_chain(b, "all").to_vector();
   Rng rng(43);
   for (int i = 0; i < 200; ++i) {
     auto copy = bytes;
@@ -202,7 +202,7 @@ TEST(Fuzz, CorruptedMeshBlockNeverCrashes) {
       copy[rng.next_below(copy.size())] ^=
           static_cast<unsigned char>(1 + rng.next_below(255));
     try {
-      (void)mesh::MeshBlock::deserialize(copy.data(), copy.size());
+      (void)roccom::decode_block(copy.data(), copy.size());
     } catch (const Error&) {
       // expected
     }
@@ -211,12 +211,12 @@ TEST(Fuzz, CorruptedMeshBlockNeverCrashes) {
 
 TEST(Fuzz, TruncatedWireBlockNeverCrashes) {
   auto b = make_block(3, 5);
-  const auto bytes = rocpanda::WireBlock::from_block(b, "all").serialize();
+  const auto bytes = roccom::WireBlock::from_block(b, "all").serialize();
   Rng rng(44);
   for (int i = 0; i < 200; ++i) {
     const size_t cut = rng.next_below(bytes.size());
     try {
-      (void)rocpanda::WireBlock::deserialize(
+      (void)roccom::WireBlock::deserialize(
           std::vector<unsigned char>(bytes.begin(),
                                      bytes.begin() + static_cast<long>(cut)));
     } catch (const Error&) {
@@ -293,12 +293,12 @@ TEST(ZeroCopy, ChainSerializeMatchesLegacySerialize) {
     for (const auto& f : b.fields()) attrs.push_back(f.name);
     for (const auto& attr : attrs) {
       const auto legacy =
-          rocpanda::WireBlock::from_block(b, attr).serialize();
-      const auto chain = rocpanda::WireBlock::serialize_chain(b, attr);
+          roccom::WireBlock::from_block(b, attr).serialize();
+      const auto chain = roccom::WireBlock::serialize_chain(b, attr);
       EXPECT_EQ(chain.to_vector(), legacy)
           << "block " << b.id() << " attr " << attr;
       // And the materialising decoder must round-trip the chain's bytes.
-      const auto wb = rocpanda::WireBlock::deserialize(chain.to_vector());
+      const auto wb = roccom::WireBlock::deserialize(chain.to_vector());
       EXPECT_EQ(wb.pane_id(), b.id());
       EXPECT_EQ(wb.serialize(), legacy)
           << "block " << b.id() << " attr " << attr;
@@ -314,12 +314,12 @@ TEST(ZeroCopy, PassThroughPipelineIsByteIdenticalToCopyPath) {
   comm::World::run(2, [&](comm::Comm& comm) {
     if (comm.rank() == 0) {
       for (const auto& b : blocks)
-        comm.sendv(1, 1, rocpanda::WireBlock::serialize_chain(b, "all"));
+        comm.sendv(1, 1, roccom::WireBlock::serialize_chain(b, "all"));
     } else {
       shdf::Writer w(zc_fs, "f.shdf");
       for (size_t i = 0; i < blocks.size(); ++i) {
         auto m = comm.recv(0, 1);
-        rocpanda::WireBlockView::parse(m.payload).write_to(w, "win", 0.25);
+        roccom::WireBlockView::parse(m.payload).write_to(w, "win", 0.25);
       }
       w.close();
     }
@@ -330,8 +330,8 @@ TEST(ZeroCopy, PassThroughPipelineIsByteIdenticalToCopyPath) {
   {
     shdf::Writer w(legacy_fs, "f.shdf");
     for (const auto& b : blocks) {
-      const auto wire = rocpanda::WireBlock::from_block(b, "all").serialize();
-      rocpanda::WireBlock::deserialize(wire).write_to(w, "win", 0.25);
+      const auto wire = roccom::WireBlock::from_block(b, "all").serialize();
+      roccom::WireBlock::deserialize(wire).write_to(w, "win", 0.25);
     }
     w.close();
   }

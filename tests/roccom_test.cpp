@@ -1,13 +1,18 @@
 /// \file roccom_test.cpp
 /// \brief Tests for the Roccom framework: windows, panes, schema
 /// validation, function registration/invocation, I/O module loading and
-/// the block <-> SHDF dataset layout contract.
+/// the block <-> SHDF dataset layout contract, the snapshot catalog and the
+/// block wire format.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <numeric>
 
 #include "comm/env.h"
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
+#include "roccom/block_wire.h"
 #include "roccom/blockio.h"
 #include "roccom/io_service.h"
 #include "roccom/roccom.h"
@@ -316,6 +321,114 @@ TEST(BlockIo, ReadIntoBlockValidatesSizes) {
   auto wrong = mesh::MeshBlock::structured(1, {5, 5, 5});
   mesh::add_fluid_schema(wrong);
   EXPECT_THROW(read_into_block(r, "fluid", "all", wrong), FormatError);
+}
+
+// --- snapshot catalog ----------------------------------------------------------
+
+TEST(BlockIo, SnapshotFilesMatchTheBasenameExactly) {
+  vfs::MemFileSystem fs;
+  for (const char* path :
+       {"out/state_p0000.shdf", "out/state_s0001.shdf", "out/state_p12.shdf",
+        "out/state_post_p0000.shdf", "out/state_p0000.shdf.tmp",
+        "out/state_p.shdf", "out/state_x0000.shdf", "out/state_p00a0.shdf",
+        "state_p0000.shdf"})
+    (void)fs.open(path, vfs::OpenMode::kTruncate);
+  EXPECT_EQ(snapshot_files(fs, "out/", "state"),
+            (std::vector<std::string>{"out/state_p0000.shdf",
+                                      "out/state_p12.shdf",
+                                      "out/state_s0001.shdf"}));
+  EXPECT_EQ(snapshot_files(fs, "out/", "state_post"),
+            std::vector<std::string>{"out/state_post_p0000.shdf"});
+  EXPECT_TRUE(snapshot_files(fs, "", "none").empty());
+}
+
+TEST(BlockIo, BlocksInFileListsEveryWindowInOrder) {
+  vfs::MemFileSystem fs;
+  {
+    shdf::Writer w(fs, "multi.shdf");
+    write_block(w, "solid", make_fluid_block(4), "all", 0.0);
+    write_block(w, "fluid", make_fluid_block(2), "all", 0.0);
+    write_block(w, "fluid", make_fluid_block(1), "mesh", 0.0);
+    write_block(w, "fluid", make_fluid_block(-3), "pressure", 0.0);
+  }
+  shdf::Reader r(fs, "multi.shdf");
+  const auto blocks = blocks_in_file(r);
+  ASSERT_EQ(blocks.size(), 3u);  // the field-only write holds no block
+  EXPECT_EQ(blocks[0].window, "fluid");
+  EXPECT_EQ(blocks[0].pane_id, 1);
+  EXPECT_EQ(blocks[1].window, "fluid");
+  EXPECT_EQ(blocks[1].pane_id, 2);
+  EXPECT_EQ(blocks[2].window, "solid");
+  EXPECT_EQ(blocks[2].pane_id, 4);
+}
+
+// --- block wire format ---------------------------------------------------------
+
+/// Encodes `b` the way a receiver holds it: the chain, flattened.
+std::vector<unsigned char> encode(const mesh::MeshBlock& b) {
+  return WireBlock::serialize_chain(b, "all").to_vector();
+}
+
+TEST(MeshBlock, SerializeRoundTripStructured) {
+  auto b = mesh::MeshBlock::structured(7, {3, 4, 2});
+  for (size_t i = 0; i < b.coords().size(); ++i)
+    b.coords()[i] = 0.25 * static_cast<double>(i);
+  auto& f = b.add_field("temp", mesh::Centering::kElement, 1);
+  std::iota(f.data.begin(), f.data.end(), 100.0);
+
+  const auto bytes = encode(b);
+  const auto c = decode_block(bytes.data(), bytes.size());
+  EXPECT_EQ(c.id(), 7);
+  EXPECT_EQ(c.node_dims(), b.node_dims());
+  EXPECT_EQ(c.coords(), b.coords());
+  EXPECT_EQ(c.field("temp").data, f.data);
+  EXPECT_EQ(c.state_checksum(), b.state_checksum());
+}
+
+TEST(MeshBlock, SerializeRoundTripUnstructured) {
+  auto b = mesh::MeshBlock::unstructured(9, 5, {0, 1, 2, 3, 1, 2, 3, 4});
+  b.coords()[0] = 1.5;
+  auto& f = b.add_field("stress", mesh::Centering::kElement, 6);
+  f.data[3] = -2.0;
+
+  const auto bytes = encode(b);
+  const auto c = decode_block(bytes.data(), bytes.size());
+  EXPECT_EQ(c.kind(), mesh::MeshKind::kUnstructured);
+  EXPECT_EQ(c.connectivity(), b.connectivity());
+  EXPECT_EQ(c.state_checksum(), b.state_checksum());
+}
+
+TEST(BlockWire, DecoderRejectsArraysThatDoNotFitTheBlock) {
+  struct Case {
+    const char* what;
+    std::vector<unsigned char> bytes;
+  };
+  std::vector<Case> cases;
+  {
+    auto b = mesh::MeshBlock::structured(1, {3, 3, 3});  // 27 nodes
+    b.coords().resize(3);
+    cases.push_back({"short coords", encode(b)});
+  }
+  {
+    auto b = mesh::MeshBlock::structured(1, {3, 3, 3});
+    b.add_field("p", mesh::Centering::kNode, 1).data.resize(2);
+    cases.push_back({"2-value node field on 27 nodes", encode(b)});
+  }
+  {
+    // A 4-node tet whose connectivity (the last 16 bytes) is patched to
+    // reference node 1000000.
+    auto bytes = encode(mesh::MeshBlock::unstructured(1, 4, {0, 1, 2, 3}));
+    const int32_t far = 1000000;
+    std::memcpy(bytes.data() + bytes.size() - 16, &far, sizeof(far));
+    cases.push_back({"connectivity out of range", std::move(bytes)});
+  }
+  for (const Case& c : cases) {
+    EXPECT_THROW((void)decode_block(c.bytes.data(), c.bytes.size()),
+                 FormatError)
+        << c.what;
+    EXPECT_THROW((void)WireBlock::deserialize(c.bytes), FormatError)
+        << c.what;
+  }
 }
 
 }  // namespace

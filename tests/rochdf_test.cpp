@@ -225,6 +225,37 @@ TEST_P(RochdfTest, FetchBlocksAcrossDifferentProcessCount) {
   });
 }
 
+TEST_P(RochdfTest, SnapshotExcludesFilesOfALongerBasename) {
+  // "state_post" starts with "state_": its files must not join snapshot
+  // "state", whether they hold the same pane ids or other ones.
+  for (const auto& post_ids :
+       {std::vector<int>{0, 1}, std::vector<int>{10, 11}}) {
+    vfs::MemFileSystem fs;
+    comm::World::run(1, [&](comm::Comm& comm) {
+      comm::RealEnv env;
+      Rochdf io(comm, env, fs, opts());
+      auto write = [&](const std::string& file, const std::vector<int>& ids,
+                       int n) {
+        Roccom com;
+        auto& w = com.create_window("fluid");
+        std::vector<mesh::MeshBlock> blocks;
+        for (int id : ids) blocks.push_back(make_block(id, n));
+        for (auto& b : blocks) w.register_pane(b.id(), &b);
+        io.write_attribute(com, IoRequest{"fluid", "all", file, 0.0});
+        io.sync();
+      };
+      write("state", {0, 1}, 4);
+      write("state_post", post_ids, 5);
+
+      EXPECT_EQ(io.list_panes("state"), (std::vector<int>{0, 1}));
+      const auto blocks = io.fetch_blocks("state", {0, 1});
+      ASSERT_EQ(blocks.size(), 2u);
+      for (const auto& b : blocks)
+        EXPECT_EQ(b.state_checksum(), make_block(b.id()).state_checksum());
+    });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, RochdfTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Threaded" : "Plain";

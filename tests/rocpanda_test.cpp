@@ -275,6 +275,42 @@ TEST(Rocpanda, MissingBlockOnRestartThrows) {
                  });
 }
 
+TEST(Rocpanda, SnapshotExcludesFilesOfALongerBasename) {
+  // "state_post" starts with "state_": its files must not join snapshot
+  // "state", whether they hold the same pane ids or other ones.
+  for (const int post_offset : {0, 10}) {
+    vfs::MemFileSystem fs;
+    run_deployment(2, 1, fs, ServerOptions{},
+                   [&](comm::Comm&, const Layout&, comm::Comm& clients,
+                       RocpandaClient& panda) {
+                     Roccom com;
+                     auto& w = com.create_window("fluid");
+                     auto b = make_block(clients.rank());
+                     w.register_pane(b.id(), &b);
+                     panda.write_attribute(
+                         com, IoRequest{"fluid", "all", "state", 0.0});
+                     Roccom post_com;
+                     auto& pw = post_com.create_window("fluid");
+                     auto p = make_block(clients.rank() + post_offset, 5);
+                     pw.register_pane(p.id(), &p);
+                     panda.write_attribute(
+                         post_com, IoRequest{"fluid", "all", "state_post", 0.0});
+                     panda.sync();
+                   });
+    run_deployment(2, 2, fs, ServerOptions{},
+                   [&](comm::Comm&, const Layout&, comm::Comm& clients,
+                       RocpandaClient& panda) {
+                     EXPECT_EQ(panda.list_panes("state"),
+                               (std::vector<int>{0, 1}));
+                     const auto blocks =
+                         panda.fetch_blocks("state", {clients.rank()});
+                     ASSERT_EQ(blocks.size(), 1u);
+                     EXPECT_EQ(blocks[0].state_checksum(),
+                               make_block(clients.rank()).state_checksum());
+                   });
+  }
+}
+
 TEST(Rocpanda, ActiveBufferingOverflowSpillsWithoutDataLoss) {
   vfs::MemFileSystem fs;
   ServerOptions opts;

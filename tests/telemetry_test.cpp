@@ -19,11 +19,11 @@
 
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
+#include "roccom/block_wire.h"
 #include "rochdf/rochdf.h"
 #include "rocpanda/client.h"
 #include "rocpanda/layout.h"
 #include "rocpanda/server.h"
-#include "rocpanda/wire.h"
 #include "sim/platform.h"
 #include "sim/sim_comm.h"
 #include "sim/sim_env.h"
@@ -909,7 +909,7 @@ TEST(StatsView, EveryServiceCounterHasItsExactValue) {
     return b;
   };
   auto wire_size = [&](int id) {
-    return rocpanda::WireBlock::from_block(make(id), "all").serialize().size();
+    return roccom::WireBlock::from_block(make(id), "all").serialize().size();
   };
   const uint64_t small = wire_size(0), big = wire_size(2);
   const uint64_t per_client = 2 * small + big;

@@ -134,6 +134,27 @@ TEST(VtkExport, MergesBlocksAcrossFilesWithOffsets) {
   EXPECT_NE(cell_lines[1].find("15"), std::string::npos);
 }
 
+TEST(VtkExport, SnapshotExcludesFilesOfALongerBasename) {
+  // "state_post" starts with "state_": its files must not join snapshot
+  // "state", whether they hold the same pane ids or other ones.
+  for (const int post_offset : {0, 10}) {
+    vfs::MemFileSystem fs;
+    auto write = [&](const std::string& path, int first_id, int n) {
+      shdf::Writer w(fs, path);
+      for (int id = first_id; id < first_id + 2; ++id) {
+        auto b = mesh::MeshBlock::structured(id, {n, n, n});
+        mesh::add_fluid_schema(b);
+        roccom::write_block(w, "fluid", b, "all", 0.0);
+      }
+    };
+    write("state_p0000.shdf", 0, 3);
+    write("state_post_s0000.shdf", post_offset, 4);
+    const auto stats = export_snapshot_vtk(fs, "state", "fluid", "out.vtk");
+    EXPECT_EQ(stats.blocks, 2u);
+    EXPECT_EQ(stats.points, 2u * 27u);
+  }
+}
+
 TEST(VtkExport, MissingWindowThrows) {
   vfs::MemFileSystem fs;
   auto b = mesh::MeshBlock::structured(0, {2, 2, 2});
