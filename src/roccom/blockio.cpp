@@ -86,7 +86,6 @@ void coords_def_into(const std::string& prefix, int pane_id, MeshKind kind,
   def.name = prefix;
   def.name += "coords";
   def.type = DataType::kFloat64;
-  def.codec = shdf::Codec::kNone;
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild of
   // the caller's scratch def; steady state reuses the storage.
   def.dims.resize(2);
@@ -119,7 +118,6 @@ void connectivity_def_into(const std::string& prefix, uint64_t element_count,
   def.name = prefix;
   def.name += "connectivity";
   def.type = DataType::kInt32;
-  def.codec = shdf::Codec::kNone;
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild.
   def.dims.resize(2);
   def.dims[0] = element_count;
@@ -134,7 +132,6 @@ void field_def_into(const std::string& prefix, const std::string& field,
   def.name += "field:";
   def.name += field;
   def.type = DataType::kFloat64;
-  def.codec = shdf::Codec::kNone;
   // Entity count derived from the data itself, so partially-populated
   // marshalling blocks (field-only transfers) write correct datasets.
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity rebuild.

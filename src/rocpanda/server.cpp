@@ -54,8 +54,6 @@ struct BufferedItem {
   std::shared_ptr<const RequestMeta> meta;  ///< Shared, not copied.
   /// The received wire bytes, parsed in place: their payloads are written
   /// without reconstructing a MeshBlock.
-  // ROCANALYZE-ALLOW(r1-stored-view): why: the view shares ownership of the
-  // wire bytes it parses (a SharedBuffer member), so it cannot dangle.
   roccom::WireBlockView view;
 };
 

@@ -80,17 +80,17 @@ Attribute read_attr(ByteReader& r) {
 }
 
 void write_dataset_header(ByteWriter& w, const DatasetDef& def,
-                          uint64_t data_bytes, uint64_t stored_bytes,
                           uint64_t checksum) {
+  const uint64_t bytes = def.byte_count();
   w.put_string(def.name);
   w.put<uint8_t>(static_cast<uint8_t>(def.type));
-  w.put<uint8_t>(static_cast<uint8_t>(def.codec));
+  w.put<uint8_t>(0);  // codec: stored as is
   w.put<uint32_t>(static_cast<uint32_t>(def.dims.size()));
   for (uint64_t d : def.dims) w.put<uint64_t>(d);
   w.put<uint32_t>(static_cast<uint32_t>(def.attributes.size()));
   for (const auto& a : def.attributes) write_attr(w, a);
-  w.put<uint64_t>(data_bytes);
-  w.put<uint64_t>(stored_bytes);
+  w.put<uint64_t>(bytes);  // payload size
+  w.put<uint64_t>(bytes);  // stored size
   w.put<uint64_t>(checksum);
 }
 
@@ -101,10 +101,9 @@ DatasetInfo read_dataset_header(ByteReader& r) {
   if (type > static_cast<uint8_t>(DataType::kFloat64))
     throw FormatError("unknown dataset element type");
   info.def.type = static_cast<DataType>(type);
-  const auto codec = r.get<uint8_t>();
-  if (codec > static_cast<uint8_t>(Codec::kZeroRle))
-    throw FormatError("unknown dataset codec");
-  info.def.codec = static_cast<Codec>(codec);
+  if (r.get<uint8_t>() != 0)
+    throw FormatError("dataset '" + info.def.name +
+                      "' has an unsupported codec");
   const auto ndims = r.get<uint32_t>();
   // Guard allocations against corrupted counts: each dim takes 8 bytes.
   if (ndims > r.remaining() / sizeof(uint64_t))
@@ -119,11 +118,13 @@ DatasetInfo read_dataset_header(ByteReader& r) {
   for (uint32_t i = 0; i < nattr; ++i)
     info.def.attributes.push_back(read_attr(r));
   info.data_bytes = r.get<uint64_t>();
-  info.stored_bytes = r.get<uint64_t>();
+  const auto stored_bytes = r.get<uint64_t>();
   info.checksum = r.get<uint64_t>();
-  if (info.data_bytes != info.def.byte_count())
+  if (info.data_bytes != info.def.byte_count() ||
+      stored_bytes != info.data_bytes)
     throw FormatError("dataset '" + info.def.name +
-                      "' payload size disagrees with its dimensions");
+                      "' payload or stored size disagrees with its "
+                      "dimensions");
   return info;
 }
 
@@ -149,6 +150,29 @@ std::vector<DirEntry> read_directory(ByteReader& r) {
     entries.push_back(std::move(e));
   }
   return entries;
+}
+
+Index read_index(vfs::File& file, const std::string& path) {
+  Index index;
+  std::vector<unsigned char> bytes(kSuperblockBytes);
+  file.seek(0);
+  file.read(bytes.data(), bytes.size());
+  ByteReader sr(bytes.data(), bytes.size());
+  const Superblock& sb = index.superblock = read_superblock(sr);
+
+  index.file_size = file.size();
+  if (sb.directory_offset > index.file_size ||
+      sb.directory_bytes > index.file_size - sb.directory_offset)
+    throw FormatError("directory extends past end of file in " + path);
+  bytes.resize(static_cast<size_t>(sb.directory_bytes));
+  file.seek(sb.directory_offset);
+  file.read(bytes.data(), bytes.size());
+  ByteReader dr(bytes.data(), bytes.size());
+  index.entries = read_directory(dr);
+  if (index.entries.size() != sb.dataset_count)
+    throw FormatError("directory entry count disagrees with superblock in " +
+                      path);
+  return index;
 }
 
 }  // namespace roc::shdf

@@ -9,7 +9,10 @@
 ///   [ directory ]
 ///
 /// A dataset record is [header bytes][payload bytes]; the header carries the
-/// full DatasetDef, payload size and CRC-64.  The directory is a list of
+/// full DatasetDef, payload size and CRC-64.  It also keeps a codec byte and
+/// a stored-size field, the format's filter slot: payloads are stored as
+/// they are, so the byte is always 0 and the stored size equals the payload
+/// size, and the reader rejects anything else.  The directory is a list of
 /// (name, header offset) entries; its own offset/length live in the
 /// superblock, which is rewritten when the directory moves.
 ///
@@ -24,6 +27,7 @@
 
 #include "shdf/types.h"
 #include "util/serialize.h"
+#include "vfs/vfs.h"
 
 namespace roc::shdf {
 
@@ -56,13 +60,25 @@ Superblock read_superblock(ByteReader& r);
 
 /// Serializes a dataset header (def + payload size + checksum).
 void write_dataset_header(ByteWriter& w, const DatasetDef& def,
-                          uint64_t data_bytes, uint64_t stored_bytes,
                           uint64_t checksum);
 /// Parses a dataset header; `data_offset` is filled by the caller.
 DatasetInfo read_dataset_header(ByteReader& r);
 
 void write_directory(ByteWriter& w, const std::vector<DirEntry>& entries);
 std::vector<DirEntry> read_directory(ByteReader& r);
+
+/// A file's superblock and directory, as stored.
+struct Index {
+  Superblock superblock;
+  std::vector<DirEntry> entries;  ///< Directory order.
+  uint64_t file_size = 0;         ///< Size of the file when it was read.
+};
+
+/// Reads the superblock and directory of `file` (named `path` in errors).
+/// Both are bounds-checked against the file's size before anything is
+/// allocated, so a corrupted superblock fails with FormatError instead of
+/// running out of memory.
+Index read_index(vfs::File& file, const std::string& path);
 
 void write_attr(ByteWriter& w, const Attribute& a);
 Attribute read_attr(ByteReader& r);

@@ -1,7 +1,6 @@
 #include "shdf/reader.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/crc64.h"
 
@@ -9,43 +8,22 @@ namespace roc::shdf {
 
 Reader::Reader(vfs::FileSystem& fs, const std::string& path)
     : file_(fs.open(path, vfs::OpenMode::kRead)), path_(path) {
-  // Superblock.
-  std::vector<unsigned char> sb_bytes(kSuperblockBytes);
-  file_->seek(0);
-  file_->read(sb_bytes.data(), sb_bytes.size());
-  ByteReader sr(sb_bytes.data(), sb_bytes.size());
-  const Superblock sb = read_superblock(sr);
-  kind_ = sb.directory_kind;
-
-  // Directory.  Bounds-check against the physical file size before
-  // allocating: a corrupted superblock must fail cleanly, not OOM.
-  const uint64_t fsize = file_->size();
-  if (sb.directory_offset > fsize ||
-      sb.directory_bytes > fsize - sb.directory_offset)
-    throw FormatError("directory extends past end of file in " + path_);
-  std::vector<unsigned char> dir_bytes(
-      static_cast<size_t>(sb.directory_bytes));
-  file_->seek(sb.directory_offset);
-  file_->read(dir_bytes.data(), dir_bytes.size());
-  ByteReader dr(dir_bytes.data(), dir_bytes.size());
-  const auto entries = read_directory(dr);
-  if (entries.size() != sb.dataset_count)
-    throw FormatError("directory entry count disagrees with superblock in " +
-                      path_);
+  const Index index = read_index(*file_, path_);
+  kind_ = index.superblock.directory_kind;
+  file_size_ = index.file_size;
 
   // Dataset headers.  Typical headers are a few hundred bytes; probe small
   // and widen on demand so the read cost reflects real metadata sizes.
-  infos_.reserve(entries.size());
-  const uint64_t file_size = file_->size();
-  for (const auto& e : entries) {
-    if (e.header_offset >= file_size)
+  infos_.reserve(index.entries.size());
+  for (const auto& e : index.entries) {
+    if (e.header_offset >= file_size_)
       throw FormatError("dataset header offset past end of " + path_);
     DatasetInfo info;
     bool parsed = false;
     for (uint64_t probe : {uint64_t{512}, uint64_t{64} * 1024,
-                           file_size - e.header_offset}) {
+                           file_size_ - e.header_offset}) {
       const uint64_t want =
-          std::min<uint64_t>(file_size - e.header_offset, probe);
+          std::min<uint64_t>(file_size_ - e.header_offset, probe);
       std::vector<unsigned char> buf(static_cast<size_t>(want));
       file_->seek(e.header_offset);
       file_->read(buf.data(), buf.size());
@@ -53,7 +31,7 @@ Reader::Reader(vfs::FileSystem& fs, const std::string& path)
       try {
         info = read_dataset_header(hr);
       } catch (const FormatError&) {
-        if (want == file_size - e.header_offset) throw;  // truly corrupt
+        if (want == file_size_ - e.header_offset) throw;  // truly corrupt
         continue;  // header longer than the probe window: widen
       }
       info.data_offset = e.header_offset + hr.position();
@@ -111,26 +89,22 @@ const DatasetInfo& Reader::info(size_t index) const {
   return infos_[index];
 }
 
-void Reader::check_extent(const DatasetInfo& i) const {
-  const uint64_t fsize = file_->size();
-  if (i.data_offset > fsize || i.stored_bytes > fsize - i.data_offset)
+void Reader::check_extent(const DatasetInfo& i, uint64_t file_size) const {
+  if (i.data_offset > file_size || i.data_bytes > file_size - i.data_offset)
     throw FormatError("dataset '" + i.def.name + "' extends past end of " +
                       path_);
-  if (i.def.codec == Codec::kNone && i.stored_bytes != i.data_bytes)
-    throw FormatError("uncompressed payload size mismatch");
 }
 
 void Reader::read_into(const DatasetInfo& i, void* dst) const {
   const auto n = static_cast<size_t>(i.data_bytes);
   file_->seek(i.data_offset);
-  if (i.def.codec == Codec::kNone) {
+  try {
     file_->read(dst, n);
-  } else {
-    std::vector<unsigned char> raw(static_cast<size_t>(i.stored_bytes));
-    file_->read(raw.data(), raw.size());
-    const auto data = decode(i.def.codec, raw.data(), raw.size(), n);
-    // memcpy's arguments are declared nonnull even for zero sizes.
-    if (n > 0) std::memcpy(dst, data.data(), n);
+  } catch (const IoError&) {
+    // The extent was checked against the size at open; a short read now
+    // means the file shrank since.
+    check_extent(i, file_->size());
+    throw;
   }
   if (crc64(dst, n) != i.checksum)
     throw FormatError("checksum mismatch reading dataset '" + i.def.name +
@@ -139,7 +113,7 @@ void Reader::read_into(const DatasetInfo& i, void* dst) const {
 
 std::vector<unsigned char> Reader::read_raw(const std::string& name) const {
   const DatasetInfo& i = info(name);
-  check_extent(i);
+  check_extent(i, file_size_);
   std::vector<unsigned char> out(static_cast<size_t>(i.data_bytes));
   read_into(i, out.data());
   return out;

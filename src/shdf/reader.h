@@ -37,13 +37,13 @@ class Reader {
   [[nodiscard]] const DatasetInfo& info(const std::string& name) const;
   [[nodiscard]] const DatasetInfo& info(size_t index) const;
 
-  /// Reads and checksum-verifies the decoded payload bytes.
+  /// Reads and checksum-verifies the payload bytes.
   [[nodiscard]] std::vector<unsigned char> read_raw(
       const std::string& name) const;
 
   /// Typed read; throws FormatError if the stored element type mismatches T.
-  /// The payload is checksum-verified in the returned vector; an
-  /// uncompressed one is read straight into it, with no staging buffer.
+  /// The payload is read straight into the returned vector, with no staging
+  /// buffer, and checksum-verified there.
   template <typename T>
   [[nodiscard]] std::vector<T> read(const std::string& name) const {
     const DatasetInfo& i = info(name);
@@ -55,7 +55,7 @@ class Reader {
       throw FormatError("dataset '" + name + "' size " +
                         std::to_string(i.data_bytes) +
                         " is not a whole number of elements");
-    check_extent(i);
+    check_extent(i, file_size_);
     std::vector<T> out(static_cast<size_t>(i.data_bytes / sizeof(T)));
     read_into(i, out.data());
     return out;
@@ -70,18 +70,18 @@ class Reader {
   /// depending on the directory kind.
   [[nodiscard]] size_t find(const std::string& name) const;
 
-  /// Throws FormatError unless `i`'s stored payload lies inside the file
-  /// and, for Codec::kNone, is exactly `data_bytes` long.
-  void check_extent(const DatasetInfo& i) const;
+  /// Throws FormatError unless `i`'s payload lies inside a file of
+  /// `file_size` bytes.
+  void check_extent(const DatasetInfo& i, uint64_t file_size) const;
 
-  /// Reads `i`'s decoded payload into `dst` (`data_bytes` of room, extent
-  /// already checked) and verifies its checksum there.  An uncompressed
-  /// payload goes straight from the file into `dst`.
+  /// Reads `i`'s payload straight from the file into `dst` (`data_bytes`
+  /// of room, extent already checked) and verifies its checksum there.
   void read_into(const DatasetInfo& i, void* dst) const;
 
   mutable std::unique_ptr<vfs::File> file_;
   std::string path_;
   DirectoryKind kind_ = DirectoryKind::kIndexed;
+  uint64_t file_size_ = 0;  ///< At open; payload extents are checked on it.
   std::vector<DatasetInfo> infos_;  ///< Directory order.
 };
 

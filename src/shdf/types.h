@@ -11,7 +11,6 @@
 #include <variant>
 #include <vector>
 
-#include "shdf/codec.h"
 #include "util/error.h"
 
 namespace roc::shdf {
@@ -73,7 +72,6 @@ struct Attribute {
 struct DatasetDef {
   std::string name;            ///< Hierarchical name, e.g. "block_0007/pressure".
   DataType type = DataType::kFloat64;
-  Codec codec = Codec::kNone;  ///< Payload filter applied on disk.
   std::vector<uint64_t> dims;  ///< Extent per dimension; empty means scalar.
   std::vector<Attribute> attributes;
 
@@ -92,10 +90,9 @@ struct DatasetDef {
 /// What the reader reports about a stored dataset.
 struct DatasetInfo {
   DatasetDef def;
-  uint64_t data_offset = 0;   ///< Absolute file offset of the payload.
-  uint64_t data_bytes = 0;    ///< Uncompressed payload size.
-  uint64_t stored_bytes = 0;  ///< On-disk (post-codec) payload size.
-  uint64_t checksum = 0;  ///< CRC-64 of the UNCOMPRESSED payload.
+  uint64_t data_offset = 0;  ///< Absolute file offset of the payload.
+  uint64_t data_bytes = 0;   ///< Payload size.
+  uint64_t checksum = 0;     ///< CRC-64 of the payload.
 };
 
 }  // namespace roc::shdf

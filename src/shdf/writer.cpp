@@ -34,36 +34,17 @@ Writer::Writer(std::unique_ptr<vfs::File> file, std::string path,
 
 ROC_COLD Writer Writer::append(vfs::FileSystem& fs, const std::string& path) {
   auto file = fs.open(path, vfs::OpenMode::kReadWrite);
-
-  std::vector<unsigned char> sb_bytes(kSuperblockBytes);
-  file->seek(0);
-  file->read(sb_bytes.data(), sb_bytes.size());
-  ByteReader sr(sb_bytes.data(), sb_bytes.size());
-  const Superblock sb = read_superblock(sr);
-
-  const uint64_t fsize = file->size();
-  if (sb.directory_offset > fsize ||
-      sb.directory_bytes > fsize - sb.directory_offset)
-    throw FormatError("directory extends past end of file in " + path);
-  std::vector<unsigned char> dir_bytes(
-      static_cast<size_t>(sb.directory_bytes));
-  file->seek(sb.directory_offset);
-  file->read(dir_bytes.data(), dir_bytes.size());
-  ByteReader dr(dir_bytes.data(), dir_bytes.size());
-  std::vector<DirEntry> entries = read_directory(dr);
-  if (entries.size() != sb.dataset_count)
-    throw FormatError("directory entry count disagrees with superblock in " +
-                      path);
+  Index index = read_index(*file, path);
   // Keep entries in append (offset) order so the kLinear reader still scans
   // insertion order; persist re-sorts for kIndexed.
-  std::sort(entries.begin(), entries.end(),
+  std::sort(index.entries.begin(), index.entries.end(),
             [](const DirEntry& a, const DirEntry& b) {
               return a.header_offset < b.header_offset;
             });
 
   // New datasets overwrite the old directory region.
-  return Writer(std::move(file), path, sb.directory_kind, std::move(entries),
-                sb.directory_offset);
+  return Writer(std::move(file), path, index.superblock.directory_kind,
+                std::move(index.entries), index.superblock.directory_offset);
 }
 
 Writer::~Writer() {
@@ -97,41 +78,25 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
   }
   require(fresh_name, "duplicate dataset name: ", def.name);
 
-  // The codec runs over the payload; the checksum stays on the
-  // uncompressed bytes so corruption is caught after decoding.
   Crc64 crc;
   for (const BufferChain::Segment& s : payload.segments())
     crc.update(s.view.data, s.view.size);
-  const uint64_t checksum = crc.value();
 
+  // One vectored write of header + payload segments: the payload goes to
+  // disk straight from the caller's (or the wire's) bytes.
   hdr_.clear();  // retained scratch: header bytes reuse prior capacity
-  uint64_t stored_bytes = 0;
-  file_->seek(append_offset_);
-  if (def.codec == Codec::kNone) {
-    // Zero-copy fast path: one vectored write of header + raw segments.
-    write_dataset_header(hdr_, def, bytes, bytes, checksum);
-    stored_bytes = bytes;
-    segs_.clear();
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity segment
-    // scratch; steady state reuses the vector's storage.
-    segs_.reserve(1 + payload.segment_count());
+  write_dataset_header(hdr_, def, crc.value());
+  segs_.clear();
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: retained-capacity segment
+  // scratch; steady state reuses the vector's storage.
+  segs_.reserve(1 + payload.segment_count());
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
+  segs_.emplace_back(hdr_.data(), hdr_.size());
+  for (const BufferChain::Segment& s : payload.segments())
     // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
-    segs_.emplace_back(hdr_.data(), hdr_.size());
-    for (const BufferChain::Segment& s : payload.segments())
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above.
-      segs_.push_back(s.view);
-    file_->writev(segs_);
-  } else {
-    // Filters transform the payload, so flatten and encode first.
-    // ROCANALYZE-ALLOW(r9-copy-discipline,r8-hotpath-alloc): why: codecs
-    // need contiguous input; compression is the opt-in ablation path.
-    const auto flat = payload.to_vector();
-    const auto stored = encode(def.codec, flat.data(), flat.size());
-    write_dataset_header(hdr_, def, bytes, stored.size(), checksum);
-    stored_bytes = stored.size();
-    file_->write(hdr_.data(), hdr_.size());
-    if (!stored.empty()) file_->write(stored.data(), stored.size());
-  }
+    segs_.push_back(s.view);
+  file_->seek(append_offset_);
+  file_->writev(segs_);
 
   {
     // Retained-until-close directory metadata (entry name copy + table
@@ -140,7 +105,7 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
                      "close; the format's metadata cost");
     entries_.push_back(DirEntry{def.name, append_offset_});
   }
-  append_offset_ += hdr_.size() + stored_bytes;
+  append_offset_ += hdr_.size() + bytes;
 
   // HDF4-like mode keeps the on-disk bookkeeping current after every
   // append, which is exactly why its cost grows with the dataset count.

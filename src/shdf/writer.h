@@ -41,10 +41,9 @@ class Writer {
   void add_dataset(const DatasetDef& def, const void* data);
 
   /// Gather append: the payload arrives as a chain of segments (which may
-  /// alias wire bytes or caller arrays) and, for Codec::kNone, goes to disk
-  /// as a single vectored write of header + segments — no intermediate
-  /// materialisation.  Non-trivial codecs flatten first (they need
-  /// contiguous input).  Segments only need to stay valid for this call.
+  /// alias wire bytes or caller arrays) and goes to disk as a single
+  /// vectored write of header + segments — no intermediate
+  /// materialisation.  Segments only need to stay valid for this call.
   void put_dataset(const DatasetDef& def, const BufferChain& payload);
 
   /// Typed convenience: dims default to {v.size()} when def.dims is empty.

@@ -23,28 +23,11 @@ class SimFile final : public vfs::File {
     if (cost > 0) (void)fs_->reserve_channel(writer_, cost);
   }
 
-  void write(const void* data, size_t n) override {
+  void writev(std::span<const ConstBuffer> segments) override {
     // Spans cover entry to experience(end): the op's modelled duration in
     // virtual time, including channel queueing (same category/names as the
     // PosixFile spans so timeline.h treats both substrates identically).
     ROC_TRACE_SPAN("vfs", "write");
-    ROC_CHECK_PREEMPT("vfs.write");
-    const FsParams& p = fs_->sim_.platform().fs;
-    const double scaled =
-        static_cast<double>(n) * fs_->sim_.platform().byte_scale;
-    const double cost =
-        p.write_op_overhead * fs_->write_contention_multiplier() +
-        scaled / p.write_bandwidth;
-    const double end = fs_->reserve_channel(/*write=*/true, cost);
-    fs_->stats_.write_ops++;
-    fs_->stats_.bytes_written += n;
-    fs_->stats_.busy_write_seconds += cost;
-    backing_->write(data, n);
-    fs_->experience(end);
-  }
-
-  void writev(std::span<const ConstBuffer> segments) override {
-    ROC_TRACE_SPAN("vfs", "writev");
     ROC_CHECK_PREEMPT("vfs.write");
     // A gather is one logical operation: one op overhead for the whole
     // chain (this is the point of File::writev), bandwidth for every byte.

@@ -61,9 +61,7 @@ struct PerBase {
 bool is_vfs_write(const TraceEvent& ev) {
   if (std::strcmp(ev.category, "vfs") != 0) return false;
   return std::strcmp(ev.name, "write") == 0 ||
-         std::strcmp(ev.name, "writev") == 0 ||
-         std::strcmp(ev.name, "open") == 0 ||
-         std::strcmp(ev.name, "flush") == 0;
+         std::strcmp(ev.name, "open") == 0;
 }
 
 }  // namespace

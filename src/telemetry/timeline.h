@@ -12,7 +12,7 @@
 ///  - "snapshot.background" — time an I/O-server / writer thread spends
 ///    writing that snapshot's data behind the application's back.
 ///
-/// Raw "vfs" category spans (write/writev/open/flush) carry no snapshot
+/// Raw "vfs" category spans (write/open) carry no snapshot
 /// tag; they are attributed to the background span that contains them on
 /// the same thread.
 ///

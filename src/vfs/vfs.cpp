@@ -1,10 +1,13 @@
 #include "vfs/vfs.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -22,96 +25,80 @@ namespace {
 
 class PosixFile final : public File {
  public:
-  PosixFile(std::FILE* f, std::string path) : f_(f), path_(std::move(path)) {}
-  ~PosixFile() override {
-    if (f_) std::fclose(f_);
-  }
+  PosixFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  ~PosixFile() override { ::close(fd_); }
   PosixFile(const PosixFile&) = delete;
   PosixFile& operator=(const PosixFile&) = delete;
 
-  void write(const void* data, size_t n) override {
-    if (n == 0) return;
-    ROC_TRACE_SPAN("vfs", "write");
-    // ROCANALYZE-ALLOW(r10-cold-escape,r8-hotpath-alloc): why: stdio IS the posix backend's buffered write; the string is its failure path.
-    if (std::fwrite(data, 1, n, f_) != n)
-      throw IoError("short write to " + path_);
-  }
-
   void writev(std::span<const ConstBuffer> segments) override {
-    ROC_TRACE_SPAN("vfs", "writev");
-    // One vectored syscall instead of a copy into a staging buffer plus one
-    // fwrite.  The stream position is reconciled around the raw-fd write:
-    // fflush drains stdio's buffer (leaving the fd offset at the logical
-    // cursor), ::writev advances the fd, and the final fseek re-syncs stdio.
-    uint64_t total = 0;
-    std::vector<struct iovec> iov;
-    iov.reserve(segments.size());
-    for (const ConstBuffer& s : segments) {
-      if (s.size == 0) continue;
-      iov.push_back({const_cast<unsigned char*>(s.data), s.size});
-      total += s.size;
-    }
-    if (total == 0) return;
-    const uint64_t pos = tell();
-    if (std::fflush(f_) != 0) throw IoError("flush failed on " + path_);
-    const int fd = fileno(f_);
-    size_t i = 0;
-    while (i < iov.size()) {
-      const size_t batch = std::min<size_t>(iov.size() - i, IOV_MAX);
-      ssize_t w = ::writev(fd, iov.data() + i, static_cast<int>(batch));
-      if (w < 0) throw IoError("vectored write failed on " + path_);
-      // Consume fully-written segments; trim a partially-written one.
-      auto left = static_cast<size_t>(w);
-      while (left > 0 && left >= iov[i].iov_len) {
-        left -= iov[i].iov_len;
-        ++i;
+    ROC_TRACE_SPAN("vfs", "write");
+    // Non-empty segments go out kBatch at a time through an on-stack iovec
+    // array, one ::pwritev at the cursor per batch; a partial write trims
+    // the batch and continues.
+    constexpr size_t kBatch = 64;
+    std::array<struct iovec, kBatch> iov;
+    size_t next = 0;
+    while (next < segments.size()) {
+      size_t count = 0;
+      for (; next < segments.size() && count < kBatch; ++next) {
+        const ConstBuffer& s = segments[next];
+        if (s.size > 0)
+          iov[count++] = {const_cast<unsigned char*>(s.data), s.size};
       }
-      if (left > 0) {
-        iov[i].iov_base = static_cast<unsigned char*>(iov[i].iov_base) + left;
-        iov[i].iov_len -= left;
+      size_t first = 0;
+      while (first < count) {
+        const ssize_t w =
+            ::pwritev(fd_, iov.data() + first, static_cast<int>(count - first),
+                      static_cast<off_t>(pos_));
+        if (w < 0 && errno == EINTR) continue;
+        // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: write-failure error path only.
+        if (w <= 0) throw IoError("write failed on " + path_);
+        pos_ += static_cast<uint64_t>(w);
+        // Consume fully-written segments; trim a partially-written one.
+        auto left = static_cast<size_t>(w);
+        while (left > 0 && left >= iov[first].iov_len) {
+          left -= iov[first].iov_len;
+          ++first;
+        }
+        if (left > 0) {
+          iov[first].iov_base =
+              static_cast<unsigned char*>(iov[first].iov_base) + left;
+          iov[first].iov_len -= left;
+        }
       }
     }
-    if (std::fseek(f_, static_cast<long>(pos + total), SEEK_SET) != 0)
-      throw IoError("seek failed on " + path_);
   }
 
   void read(void* out, size_t n) override {
     if (n == 0) return;
     ROC_TRACE_SPAN("vfs", "read");
-    if (std::fread(out, 1, n, f_) != n)
-      throw IoError("short read from " + path_);
+    auto* dst = static_cast<unsigned char*>(out);
+    while (n > 0) {
+      const ssize_t r = ::pread(fd_, dst, n, static_cast<off_t>(pos_));
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) throw IoError("short read from " + path_);
+      pos_ += static_cast<uint64_t>(r);
+      dst += r;
+      n -= static_cast<size_t>(r);
+    }
   }
 
-  void seek(uint64_t pos) override {
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: seek-failure error path only.
-    if (std::fseek(f_, static_cast<long>(pos), SEEK_SET) != 0)
-      throw IoError("seek failed on " + path_);
-  }
-
-  uint64_t tell() const override {
-    long p = std::ftell(f_);
-    if (p < 0) throw IoError("tell failed on " + path_);
-    return static_cast<uint64_t>(p);
-  }
+  void seek(uint64_t pos) override { pos_ = pos; }
+  uint64_t tell() const override { return pos_; }
 
   uint64_t size() const override {
-    long cur = std::ftell(f_);
-    std::fseek(f_, 0, SEEK_END);
-    long end = std::ftell(f_);
-    std::fseek(f_, cur, SEEK_SET);
-    if (end < 0) throw IoError("size query failed on " + path_);
-    return static_cast<uint64_t>(end);
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) throw IoError("size query failed on " + path_);
+    return static_cast<uint64_t>(st.st_size);
   }
 
-  void flush() override {
-    ROC_TRACE_SPAN("vfs", "flush");
-    // ROCANALYZE-ALLOW(r10-cold-escape,r8-hotpath-alloc): why: fflush IS the posix flush; the string is its failure path.
-    if (std::fflush(f_) != 0) throw IoError("flush failed on " + path_);
-  }
+  // Writes go straight to the fd: no user-space buffer is left to push.
+  void flush() override {}
 
  private:
-  std::FILE* f_;
-  std::string path_;
+  const int fd_;
+  const std::string path_;
+  uint64_t pos_ = 0;
 };
 
 }  // namespace
@@ -133,15 +120,15 @@ std::unique_ptr<File> PosixFileSystem::open(const std::string& path,
                                             OpenMode mode) {
   const std::string f = full(path);
   ROC_TRACE_SPAN("vfs", "open");
-  const char* flags = nullptr;
+  int flags = O_CLOEXEC;
   switch (mode) {
-    case OpenMode::kRead: flags = "rb"; break;
-    case OpenMode::kTruncate: flags = "w+b"; break;
-    case OpenMode::kReadWrite: flags = "r+b"; break;
+    case OpenMode::kRead: flags |= O_RDONLY; break;
+    case OpenMode::kTruncate: flags |= O_RDWR | O_CREAT | O_TRUNC; break;
+    case OpenMode::kReadWrite: flags |= O_RDWR; break;
   }
-  std::FILE* fp = std::fopen(f.c_str(), flags);
-  if (!fp) throw IoError("cannot open " + f);
-  return std::make_unique<PosixFile>(fp, f);
+  const int fd = ::open(f.c_str(), flags, 0666);
+  if (fd < 0) throw IoError("cannot open " + f);
+  return std::make_unique<PosixFile>(fd, f);
 }
 
 bool PosixFileSystem::exists(const std::string& path) {
@@ -191,18 +178,6 @@ class MemFile final : public File {
  public:
   MemFile(std::shared_ptr<FileData> d, std::string path)
       : owner_(std::move(d)), data_(owner_.get()), path_(std::move(path)) {}
-
-  void write(const void* src, size_t n) override {
-    if (n == 0) return;
-    roc::MutexLock lock(data_->mutex);
-    // The backing store models the storage device itself: bytes landing on
-    // the "disk" are not hot-path allocator traffic.
-    ROC_ALLOC_EXEMPT("why: simulated-device backing store growth, not "
-                     "hot-path scratch");
-    if (pos_ + n > data_->bytes.size()) data_->bytes.resize(pos_ + n);
-    std::memcpy(data_->bytes.data() + pos_, src, n);
-    pos_ += n;
-  }
 
   void writev(std::span<const ConstBuffer> segments) override {
     uint64_t total = 0;

@@ -10,7 +10,6 @@
 ///     against a platform file-system model (benchmarks).
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,29 +33,17 @@ class File {
  public:
   virtual ~File() = default;
 
-  /// Writes `n` bytes at the cursor, advancing it.  Throws IoError on
-  /// failure; partial writes are surfaced as errors, not short counts.
-  virtual void write(const void* data, size_t n) = 0;
-
   /// Gather write: writes every segment, in order, at the cursor as one
-  /// logical operation.  Implementations may service it with a single
-  /// vectored syscall (PosixFile uses ::writev) or one pre-sized append
-  /// (MemFile); the default gathers into one pre-sized staging block and
-  /// issues a single write() — one copy, one backend operation, instead of
-  /// a per-segment write loop.
-  virtual void writev(std::span<const ConstBuffer> segments) {
-    size_t total = 0;
-    for (const ConstBuffer& s : segments) total += s.size;
-    if (total == 0) return;
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: generic gather fallback; the production backends (Posix, Mem) override with copy-free paths.
-    std::vector<unsigned char> gathered(total);
-    unsigned char* out = gathered.data();
-    for (const ConstBuffer& s : segments) {
-      if (s.size == 0) continue;
-      std::memcpy(out, s.data, s.size);
-      out += s.size;
-    }
-    write(gathered.data(), total);
+  /// logical operation, advancing the cursor past them.  This is the one
+  /// write primitive: PosixFile issues vectored syscalls straight from the
+  /// segments, MemFile does one pre-sized append.  Throws IoError on
+  /// failure; partial writes are surfaced as errors, not short counts.
+  virtual void writev(std::span<const ConstBuffer> segments) = 0;
+
+  /// Writes `n` bytes at the cursor: a one-segment writev.
+  virtual void write(const void* data, size_t n) {
+    const ConstBuffer segment(data, n);
+    writev({&segment, 1});
   }
 
   /// Reads exactly `n` bytes at the cursor, advancing it.

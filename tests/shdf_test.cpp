@@ -8,7 +8,6 @@
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/crc64.h"
-#include "util/rng.h"
 #include "vfs/vfs.h"
 
 namespace roc::shdf {
@@ -261,144 +260,6 @@ INSTANTIATE_TEST_SUITE_P(DirectoryKinds, ShdfTest,
                                       : "Indexed";
                          });
 
-// --- codecs (SHDF's analogue of HDF I/O filters) -----------------------------
-
-TEST(Codec, ZeroRleRoundTripShapes) {
-  Rng rng(11);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<unsigned char> data(rng.next_below(5000));
-    // Mix of zero runs and random bytes.
-    size_t i = 0;
-    while (i < data.size()) {
-      const size_t run = 1 + rng.next_below(200);
-      const bool zeros = rng.next_below(2) == 0;
-      for (size_t k = 0; k < run && i < data.size(); ++k, ++i)
-        data[i] = zeros ? 0 : static_cast<unsigned char>(rng.next_u64());
-    }
-    const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-    const auto dec =
-        decode(Codec::kZeroRle, enc.data(), enc.size(), data.size());
-    EXPECT_EQ(dec, data);
-  }
-}
-
-TEST(Codec, ZeroHeavyDataCompressesWell) {
-  std::vector<unsigned char> data(100000, 0);
-  data[5] = 1;
-  data[99999] = 2;
-  const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  EXPECT_LT(enc.size(), data.size() / 100);
-}
-
-TEST(Codec, IncompressibleDataGrowsOnlyMarginally) {
-  Rng rng(12);
-  std::vector<unsigned char> data(10000);
-  for (auto& b : data) b = static_cast<unsigned char>(1 + rng.next_below(255));
-  const auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  EXPECT_LT(enc.size(), data.size() + 16);
-}
-
-TEST(Codec, MalformedStreamsRejected) {
-  std::vector<unsigned char> data(64, 0);
-  auto enc = encode(Codec::kZeroRle, data.data(), data.size());
-  // Truncation.
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size() - 1, 64),
-               FormatError);
-  // Wrong expected size (both directions).
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 63),
-               FormatError);
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 65),
-               FormatError);
-  // Unknown token.
-  enc[0] = 0x7F;
-  EXPECT_THROW((void)decode(Codec::kZeroRle, enc.data(), enc.size(), 64),
-               FormatError);
-}
-
-TEST(Codec, CompressedDatasetRoundTripThroughFile) {
-  vfs::MemFileSystem fs;
-  std::vector<double> sparse(5000, 0.0);  // zero-heavy: compresses
-  sparse[7] = 3.25;
-  sparse[4999] = -1.5;
-  std::vector<double> dense(512);
-  Rng rng(13);
-  for (auto& v : dense) v = rng.next_double();
-  {
-    Writer w(fs, "codec.shdf");
-    DatasetDef def;
-    def.name = "sparse";
-    def.type = DataType::kFloat64;
-    def.codec = Codec::kZeroRle;
-    def.dims = {sparse.size()};
-    w.add_dataset(def, sparse.data());
-    w.add("dense", dense);  // default: uncompressed
-  }
-  Reader r(fs, "codec.shdf");
-  EXPECT_EQ(r.read<double>("sparse"), sparse);
-  EXPECT_EQ(r.read<double>("dense"), dense);
-  // The stored footprint of the sparse dataset is far below its logical
-  // size, and the metadata reports both.
-  EXPECT_EQ(r.info("sparse").data_bytes, sparse.size() * 8);
-  EXPECT_LT(r.info("sparse").stored_bytes, sparse.size());
-  EXPECT_EQ(r.info("dense").stored_bytes, r.info("dense").data_bytes);
-}
-
-TEST(Codec, ChecksumStillDetectsCorruptionUnderCompression) {
-  vfs::MemFileSystem fs;
-  std::vector<double> v(1000, 0.0);
-  v[500] = 42.0;
-  {
-    Writer w(fs, "c.shdf");
-    DatasetDef def;
-    def.name = "x";
-    def.type = DataType::kFloat64;
-    def.codec = Codec::kZeroRle;
-    def.dims = {v.size()};
-    w.add_dataset(def, v.data());
-  }
-  // Flip a byte inside the stored (compressed) payload.
-  {
-    Reader probe(fs, "c.shdf");
-    const auto off = probe.info("x").data_offset;
-    auto f = fs.open("c.shdf", vfs::OpenMode::kReadWrite);
-    unsigned char b;
-    f->seek(off + 7);
-    f->read(&b, 1);
-    b ^= 0x5A;
-    f->seek(off + 7);
-    f->write(&b, 1);
-  }
-  Reader r(fs, "c.shdf");
-  EXPECT_THROW((void)r.read_raw("x"), FormatError);
-  EXPECT_THROW((void)r.read<double>("x"), FormatError);
-}
-
-TEST(Codec, WorksWithAppendAndBothDirectoryKinds) {
-  for (auto kind : {DirectoryKind::kLinear, DirectoryKind::kIndexed}) {
-    vfs::MemFileSystem fs;
-    std::vector<double> zeros(2000, 0.0);
-    {
-      Writer w(fs, "a.shdf", kind);
-      DatasetDef def;
-      def.name = "z0";
-      def.codec = Codec::kZeroRle;
-      def.dims = {zeros.size()};
-      w.add_dataset(def, zeros.data());
-    }
-    {
-      Writer w = Writer::append(fs, "a.shdf");
-      DatasetDef def;
-      def.name = "z1";
-      def.codec = Codec::kZeroRle;
-      def.dims = {zeros.size()};
-      w.add_dataset(def, zeros.data());
-    }
-    Reader r(fs, "a.shdf");
-    EXPECT_EQ(r.read<double>("z0"), zeros);
-    EXPECT_EQ(r.read<double>("z1"), zeros);
-  }
-}
-
 TEST(Shdf, OnDiskBytesArePinned) {
   // The bytes a writer produces are the format.  This pins them: the whole
   // file's CRC-64, computed with the bitwise reference, for both directory
@@ -408,28 +269,20 @@ TEST(Shdf, OnDiskBytesArePinned) {
     DirectoryKind kind;
     uint64_t size;
     uint64_t crc;
-  } golden[] = {{DirectoryKind::kLinear, 7857, 0x0D3AF46265E275DFULL},
-                {DirectoryKind::kIndexed, 7857, 0x3D5EBA9D8C37DF91ULL}};
+  } golden[] = {{DirectoryKind::kLinear, 7764, 0x295EC794550823E0ULL},
+                {DirectoryKind::kIndexed, 7764, 0x856F560B76E6B649ULL}};
   std::vector<double> d(777);
   for (size_t i = 0; i < d.size(); ++i)
     d[i] = 0.25 * static_cast<double>(i) - 3.0;
   std::vector<int32_t> c(333);
   for (size_t i = 0; i < c.size(); ++i)
     c[i] = static_cast<int32_t>(i * 7919 % 1000);
-  std::vector<double> z(2048, 0.0);
-  z[100] = 1.5;
   for (const auto& g : golden) {
     vfs::MemFileSystem fs;
     {
       Writer w(fs, "g.shdf", g.kind);
       w.add("fluid/coords", d);
       w.add("fluid/conn", c);
-      DatasetDef def;
-      def.name = "fluid/rle";
-      def.type = DataType::kFloat64;
-      def.codec = Codec::kZeroRle;
-      def.dims = {z.size()};
-      w.add_dataset(def, z.data());
     }
     auto f = fs.open("g.shdf", vfs::OpenMode::kRead);
     std::vector<unsigned char> bytes(static_cast<size_t>(f->size()));
@@ -440,8 +293,32 @@ TEST(Shdf, OnDiskBytesArePinned) {
     Reader r(fs, "g.shdf");
     EXPECT_EQ(r.read<double>("fluid/coords"), d);
     EXPECT_EQ(r.read<int32_t>("fluid/conn"), c);
-    EXPECT_EQ(r.read<double>("fluid/rle"), z);
   }
+}
+
+TEST(Shdf, NonZeroCodecByteRejected) {
+  // Payloads are stored as they are: a header whose codec byte names a
+  // filter describes bytes this reader cannot interpret.
+  vfs::MemFileSystem fs;
+  {
+    Writer w(fs, "codec.shdf");
+    w.add("x", std::vector<double>{1.0, 2.0});
+  }
+  {
+    // The first header follows the superblock: name (u32 length + bytes),
+    // element type byte, codec byte.
+    const uint64_t at = kSuperblockBytes + 4 + 1 + 1;
+    auto f = fs.open("codec.shdf", vfs::OpenMode::kReadWrite);
+    unsigned char b = 0xFF;
+    f->seek(at);
+    f->read(&b, 1);
+    ASSERT_EQ(b, 0);
+    b = 1;
+    f->seek(at);
+    f->write(&b, 1);
+  }
+  expect_format_error([&] { Reader r(fs, "codec.shdf"); },
+                      "unsupported codec");
 }
 
 TEST(Shdf, NotAnShdfFileRejected) {

@@ -598,8 +598,13 @@ TEST(FlightRecorder, RingOverflowKeepsTheNewestEvents) {
   const std::string path = testing::TempDir() + "/flight_overflow.json";
   ScopedFlight flight_on;
   const std::size_t n = flight::kDumpEventsPerThread + 10;
-  for (std::size_t i = 0; i < n; ++i)
-    record_instant("test", "overflow", "n" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    // Built piecewise: `"lit" + std::to_string(...)` trips GCC 12's bogus
+    // -Wrestrict at -O3 (PR105651).
+    std::string detail = "n";
+    detail += std::to_string(i);
+    record_instant("test", "overflow", detail);
+  }
   ASSERT_TRUE(flight::dump_now("overflow", path.c_str()));
   const std::string json = slurp(path);
   EXPECT_TRUE(JsonChecker::valid(json)) << json;

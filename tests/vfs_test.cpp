@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -86,9 +87,9 @@ class IoThreadFile final : public File {
       : f_(std::move(f)), io_(io), flush_each_write_(flush_each_write) {}
   ~IoThreadFile() override { io_.run([&] { f_.reset(); }); }
 
-  void write(const void* data, size_t n) override {
+  void writev(std::span<const ConstBuffer> segments) override {
     io_.run([&] {
-      f_->write(data, n);
+      f_->writev(segments);
       if (flush_each_write_) f_->flush();
     });
   }
@@ -224,8 +225,11 @@ TEST_P(FileSystemTest, OpenMissingFileThrows) {
 TEST_P(FileSystemTest, ShortReadThrows) {
   auto f = fs_->open("c.bin", OpenMode::kTruncate);
   f->write("123", 3);
-  f->seek(0);
   char buf[10];
+  EXPECT_THROW(f->read(buf, 1), IoError);  // cursor at EOF
+  f->seek(10);
+  EXPECT_THROW(f->read(buf, 1), IoError);  // cursor past EOF
+  f->seek(0);
   EXPECT_THROW(f->read(buf, 10), IoError);
 }
 
@@ -279,6 +283,61 @@ TEST_P(FileSystemTest, ZeroByteOperationsAreNoOps) {
   f->write(nullptr, 0);
   EXPECT_EQ(f->size(), 0u);
   f->read(nullptr, 0);
+}
+
+TEST_P(FileSystemTest, GatherWriteOverwritesMidFileAndAppendsAtEof) {
+  auto f = fs_->open("h.bin", OpenMode::kTruncate);
+  f->write("0123456789", 10);
+  // Mid-file: the gather lands at the cursor and overwrites in place.
+  f->seek(3);
+  const ConstBuffer mid[] = {{"ab", 2}, {"", 0}, {"cd", 2}};
+  f->writev(mid);
+  EXPECT_EQ(f->tell(), 7u);
+  EXPECT_EQ(f->size(), 10u);
+  // At EOF: the gather appends.
+  f->seek(10);
+  const ConstBuffer tail[] = {{"XY", 2}, {"Z", 1}};
+  f->writev(tail);
+  EXPECT_EQ(f->tell(), 13u);
+  EXPECT_EQ(f->size(), 13u);
+  f->seek(0);
+  std::string s(13, '\0');
+  f->read(s.data(), s.size());
+  EXPECT_EQ(s, "012abcd789XYZ");
+  EXPECT_EQ(f->tell(), 13u);
+}
+
+TEST_P(FileSystemTest, GatherWriteOfMoreThanIovMaxSegments) {
+  // More non-empty segments than one vectored syscall takes, with empty
+  // ones mixed in: every byte lands, in order.
+  const size_t n = static_cast<size_t>(IOV_MAX) + 37;
+  std::vector<unsigned char> bytes(n);
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<unsigned char>(i * 7);
+  std::vector<ConstBuffer> segments;
+  for (size_t i = 0; i < n; ++i) {
+    segments.emplace_back(&bytes[i], 1);
+    if (i % 3 == 0) segments.emplace_back(nullptr, 0);
+  }
+  auto f = fs_->open("i.bin", OpenMode::kTruncate);
+  f->write("H", 1);
+  f->writev(segments);
+  EXPECT_EQ(f->tell(), n + 1);
+  EXPECT_EQ(f->size(), n + 1);
+  std::vector<unsigned char> back(n);
+  f->seek(1);
+  f->read(back.data(), back.size());
+  EXPECT_EQ(back, bytes);
+}
+
+TEST_P(FileSystemTest, SizeLeavesTheCursorWhereItWas) {
+  auto f = fs_->open("j.bin", OpenMode::kTruncate);
+  f->write("0123456789", 10);
+  f->seek(4);
+  EXPECT_EQ(f->size(), 10u);
+  EXPECT_EQ(f->tell(), 4u);
+  char c = 0;
+  f->read(&c, 1);
+  EXPECT_EQ(c, '4');
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FileSystemTest,

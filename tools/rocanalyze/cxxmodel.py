@@ -718,8 +718,10 @@ def parse_field_decl(stmt, line):
 
 
 def _names_type(type_str, names):
+    # A name matches whole: bare, qualified, as a template argument, or as
+    # a template itself (`std::shared_ptr<T>`).
     for t in names:
-        if re.search(r"(^|[\s<:,(])" + re.escape(t) + r"($|[\s>&*,)])",
+        if re.search(r"(^|[\s<:,(])" + re.escape(t) + r"($|[\s<>&*,)])",
                      type_str):
             return True
     return False

@@ -75,6 +75,32 @@ class TestFixtures(unittest.TestCase):
             self.assertGreater(f["line"], 0)
             self.assertRegex(f["fingerprint"], r"^[0-9a-f]{16}$")
 
+    def test_templated_owner_backs_a_stored_view(self):
+        # `std::shared_ptr<T>` is an owner like a bare `SharedBuffer`; a
+        # container of views still owns no bytes.
+        src = (
+            "#include <memory>\n"
+            "#include <vector>\n"
+            "struct ConstBuffer { const char* data; unsigned long size; };\n"
+            "struct Meta { int id; };\n"
+            "class Item {\n"
+            " private:\n"
+            "  std::shared_ptr<const Meta> meta_;\n"
+            "  ConstBuffer view_;\n"
+            "};\n"
+            "class Gather {\n"
+            " private:\n"
+            "  std::vector<ConstBuffer> segments_;\n"
+            "};\n")
+        with tempfile.TemporaryDirectory(prefix="rocanalyze_test_") as d:
+            path = os.path.join(d, "owners.cpp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(src)
+            _, findings, _, _ = analyze([path])
+        self.assertEqual(
+            [(f["rule"], f["class"], f["symbol"]) for f in findings],
+            [("r1-stored-view", "Gather", "segments_")])
+
     def test_rule_selection(self):
         rc, findings, _, _ = analyze(
             [os.path.join(FIXTURES, "r2_unannotated_guard.cpp")],

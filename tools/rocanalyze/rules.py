@@ -163,7 +163,9 @@ def run_rules(models, structs, rules=ALL_RULES):
 
 def rule_r1(fm):
     for ci in fm.classes:
-        owners = [f for f in ci.fields.values() if f.is_owner]
+        # A container of views (`std::vector<ConstBuffer>`) owns no bytes.
+        owners = [f for f in ci.fields.values()
+                  if f.is_owner and not f.is_view]
         for f in ci.fields.values():
             if not f.is_view or f.is_static:
                 continue
