@@ -15,8 +15,6 @@ constexpr int kTagBarrierIn = kReservedTagBase + 0;
 constexpr int kTagBarrierOut = kReservedTagBase + 1;
 constexpr int kTagBcast = kReservedTagBase + 2;
 constexpr int kTagGather = kReservedTagBase + 3;
-constexpr int kTagScatter = kReservedTagBase + 4;
-constexpr int kTagAlltoall = kReservedTagBase + 5;
 
 }  // namespace
 
@@ -133,39 +131,6 @@ std::vector<std::vector<unsigned char>> Comm::allgather(
     p.resize(static_cast<size_t>(len));
     r.get_bytes(p.data(), p.size());
   }
-  return out;
-}
-
-std::vector<unsigned char> Comm::scatter(
-    const std::vector<std::vector<unsigned char>>& parts, int root) {
-  require(root >= 0 && root < size(), "scatter root out of range");
-  const int n = size();
-  if (rank() == root) {
-    require(parts.size() == static_cast<size_t>(n),
-            "scatter needs one payload per rank at the root");
-    // Direct sends: scatter traffic here is small control payloads, so the
-    // O(n)-at-root pattern is fine (bcast/gather, which carry the bulk
-    // data, use binomial trees).
-    for (int r = 0; r < n; ++r)
-      if (r != root) send(r, kTagScatter, parts[static_cast<size_t>(r)]);
-    return parts[static_cast<size_t>(root)];
-  }
-  return recv(root, kTagScatter).payload.to_vector();
-}
-
-std::vector<std::vector<unsigned char>> Comm::alltoall(
-    const std::vector<std::vector<unsigned char>>& parts) {
-  const int n = size();
-  require(parts.size() == static_cast<size_t>(n),
-          "alltoall needs one payload per rank");
-  std::vector<std::vector<unsigned char>> out(static_cast<size_t>(n));
-  out[static_cast<size_t>(rank())] = parts[static_cast<size_t>(rank())];
-  // Pairwise exchange; p2p non-overtaking keeps repeated alltoalls safe.
-  for (int r = 0; r < n; ++r)
-    if (r != rank()) send(r, kTagAlltoall, parts[static_cast<size_t>(r)]);
-  for (int r = 0; r < n; ++r)
-    if (r != rank())
-      out[static_cast<size_t>(r)] = recv(r, kTagAlltoall).payload.to_vector();
   return out;
 }
 

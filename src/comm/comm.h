@@ -6,6 +6,8 @@
 /// follows the MPI model: a communicator names an ordered group of
 /// processes; point-to-point messages carry a tag; receives match on
 /// (source, tag) with wildcards; collectives are called by every member.
+/// The collectives are barrier, bcast, gather and allgather (plus split),
+/// with the allreduce and allreduce_max helpers layered on allgather.
 /// Two implementations exist:
 ///   * roc::comm::ThreadComm — each process is a std::thread (real mode),
 ///   * roc::sim::SimComm     — cooperative processes on a virtual clock
@@ -132,17 +134,6 @@ class Comm {
   /// Gather at everyone.
   virtual std::vector<std::vector<unsigned char>> allgather(
       const std::vector<unsigned char>& mine);
-
-  /// Scatter: root provides one payload per rank (indexed by rank; must
-  /// have size() entries at root, ignored elsewhere); every member gets
-  /// its own.
-  virtual std::vector<unsigned char> scatter(
-      const std::vector<std::vector<unsigned char>>& parts, int root);
-
-  /// All-to-all personalized exchange: `parts[i]` goes to rank i; the
-  /// result's element i came from rank i.
-  virtual std::vector<std::vector<unsigned char>> alltoall(
-      const std::vector<std::vector<unsigned char>>& parts);
 };
 
 // -- Typed reduction helpers layered on the collectives --------------------
@@ -165,18 +156,8 @@ T allreduce(Comm& comm, T value, BinaryOp op) {
 }
 
 template <typename T>
-T allreduce_sum(Comm& comm, T value) {
-  return allreduce(comm, value, [](T a, T b) { return a + b; });
-}
-
-template <typename T>
 T allreduce_max(Comm& comm, T value) {
   return allreduce(comm, value, [](T a, T b) { return a > b ? a : b; });
-}
-
-template <typename T>
-T allreduce_min(Comm& comm, T value) {
-  return allreduce(comm, value, [](T a, T b) { return a < b ? a : b; });
 }
 
 }  // namespace roc::comm

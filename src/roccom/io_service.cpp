@@ -1,5 +1,8 @@
 #include "roccom/io_service.h"
 
+#include <algorithm>
+#include <set>
+
 namespace roc::roccom {
 
 IoModuleHandle::IoModuleHandle(Roccom& com, std::string window_name,
@@ -42,6 +45,22 @@ void IoModuleHandle::unload() {
   if (!loaded_) return;
   com_.delete_window(window_name_);
   loaded_ = false;
+}
+
+void finish_fetch(const std::string& file, const std::vector<int>& pane_ids,
+                  std::vector<mesh::MeshBlock>& blocks) {
+  std::ranges::sort(blocks, {}, &mesh::MeshBlock::id);
+  std::string missing;
+  // Appended piecewise: `"lit" + std::to_string(...)` trips GCC 12's
+  // bogus -Wrestrict at -O3 (GCC bug 105651).
+  for (int id : std::set<int>(pane_ids.begin(), pane_ids.end())) {
+    if (std::ranges::binary_search(blocks, id, {}, &mesh::MeshBlock::id))
+      continue;
+    missing += ' ';
+    missing += std::to_string(id);
+  }
+  if (!missing.empty())
+    throw IoError("restart from '" + file + "': blocks not found:" + missing);
 }
 
 void com_write_attribute(Roccom& com, const std::string& service_window,

@@ -55,6 +55,8 @@ class IoService {
   /// Collective: fetches complete data blocks by pane id from the file set
   /// `file` (restart with re-created panes, e.g. after adaptive refinement
   /// changed the block list).  Returned blocks are ordered by pane id.
+  /// Throws IoError naming every requested pane id that the file set does
+  /// not hold; no blocks are returned then.
   [[nodiscard]] virtual std::vector<mesh::MeshBlock> fetch_blocks(
       const std::string& file, const std::vector<int>& pane_ids) = 0;
 
@@ -66,6 +68,12 @@ class IoService {
   /// Human-readable module name ("Rocpanda", "Rochdf", "T-Rochdf").
   [[nodiscard]] virtual std::string name() const = 0;
 };
+
+/// The last step of every IoService::fetch_blocks: sorts `blocks` by pane
+/// id, then throws IoError naming every id of `pane_ids` that no block in
+/// `blocks` has.
+void finish_fetch(const std::string& file, const std::vector<int>& pane_ids,
+                  std::vector<mesh::MeshBlock>& blocks);
 
 /// Loads an I/O service module: creates window `window_name` in `com` and
 /// registers the three verbs as member functions (the paper's load_module).

@@ -1,6 +1,5 @@
 #include "rochdf/rochdf.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -253,10 +252,7 @@ std::vector<mesh::MeshBlock> Rochdf::fetch_blocks(
       if (wanted.count(block.pane_id) != 0)
         out.push_back(roccom::read_block(r, block.window, block.pane_id));
   }
-  std::sort(out.begin(), out.end(),
-            [](const mesh::MeshBlock& a, const mesh::MeshBlock& b) {
-              return a.id() < b.id();
-            });
+  roccom::finish_fetch(file, pane_ids, out);
   return out;
 }
 

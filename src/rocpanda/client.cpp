@@ -1,8 +1,5 @@
 #include "rocpanda/client.h"
 
-#include <algorithm>
-#include <map>
-
 #include "roccom/block_wire.h"
 #include "rocpanda/wire.h"
 #include "telemetry/trace.h"
@@ -246,24 +243,7 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
   }
   blocks_fetched_ += count;
 
-  if (count != pane_ids.size()) {
-    std::string missing;
-    std::map<int, bool> got;
-    for (const auto& b : blocks) got[b.id()] = true;
-    // Appended piecewise: `"lit" + std::to_string(...)` trips GCC 12's
-    // bogus -Wrestrict at -O3 (PR105651).
-    for (int id : pane_ids) {
-      if (got.count(id)) continue;
-      missing += ' ';
-      missing += std::to_string(id);
-    }
-    throw IoError("restart from '" + file + "': blocks not found:" + missing);
-  }
-
-  std::sort(blocks.begin(), blocks.end(),
-            [](const mesh::MeshBlock& a, const mesh::MeshBlock& b) {
-              return a.id() < b.id();
-            });
+  roccom::finish_fetch(file, pane_ids, blocks);
   return blocks;
 }
 

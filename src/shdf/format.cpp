@@ -107,13 +107,13 @@ DatasetInfo read_dataset_header(ByteReader& r) {
   const auto ndims = r.get<uint32_t>();
   // Guard allocations against corrupted counts: each dim takes 8 bytes.
   if (ndims > r.remaining() / sizeof(uint64_t))
-    throw FormatError("dataset dimension count exceeds stream");
+    throw TruncatedError("dataset dimension count exceeds stream");
   info.def.dims.resize(ndims);
   for (auto& d : info.def.dims) d = r.get<uint64_t>();
   const auto nattr = r.get<uint32_t>();
   // Smallest possible attribute is ~6 bytes (empty name + kind + byte).
   if (nattr > r.remaining() / 6)
-    throw FormatError("attribute count exceeds stream");
+    throw TruncatedError("attribute count exceeds stream");
   info.def.attributes.reserve(nattr);
   for (uint32_t i = 0; i < nattr; ++i)
     info.def.attributes.push_back(read_attr(r));
@@ -140,7 +140,7 @@ std::vector<DirEntry> read_directory(ByteReader& r) {
   const auto n = r.get<uint64_t>();
   // A directory entry is at least 12 bytes (empty name + offset).
   if (n > r.remaining() / 12)
-    throw FormatError("directory entry count exceeds stream");
+    throw TruncatedError("directory entry count exceeds stream");
   std::vector<DirEntry> entries;
   entries.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {

@@ -13,7 +13,9 @@ Reader::Reader(vfs::FileSystem& fs, const std::string& path)
   file_size_ = index.file_size;
 
   // Dataset headers.  Typical headers are a few hundred bytes; probe small
-  // and widen on demand so the read cost reflects real metadata sizes.
+  // and widen only when the header runs past the window, so the read cost
+  // reflects real metadata sizes and an invalid header fails on the first
+  // probe.
   infos_.reserve(index.entries.size());
   for (const auto& e : index.entries) {
     if (e.header_offset >= file_size_)
@@ -30,7 +32,7 @@ Reader::Reader(vfs::FileSystem& fs, const std::string& path)
       ByteReader hr(buf.data(), buf.size());
       try {
         info = read_dataset_header(hr);
-      } catch (const FormatError&) {
+      } catch (const TruncatedError&) {
         if (want == file_size_ - e.header_offset) throw;  // truly corrupt
         continue;  // header longer than the probe window: widen
       }

@@ -195,12 +195,6 @@ void reset_for_testing() {
   t.count.store(0, std::memory_order_release);
 }
 
-std::size_t heartbeat_count() {
-  const int n = table().count.load(std::memory_order_acquire);
-  return n < kMaxSlots ? static_cast<std::size_t>(n)
-                       : static_cast<std::size_t>(kMaxSlots);
-}
-
 }  // namespace roc::telemetry::watchdog
 
 #endif  // !ROCPIO_TELEMETRY_DISABLED

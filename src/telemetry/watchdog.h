@@ -24,8 +24,6 @@
 /// same grammar the metric-name lint enforces); slots are never reclaimed,
 /// retire() merely marks a heartbeat as intentionally stopped.
 
-#include <cstddef>
-
 namespace roc::telemetry::watchdog {
 
 #if defined(ROCPIO_TELEMETRY_DISABLED)
@@ -36,7 +34,6 @@ inline int poll() { return 0; }
 inline void start(double) {}
 inline void stop() {}
 inline void reset_for_testing() {}
-[[nodiscard]] inline std::size_t heartbeat_count() { return 0; }
 
 #else
 
@@ -60,8 +57,6 @@ void stop();
 
 /// Drops all heartbeat registrations.  Test isolation only.
 void reset_for_testing();
-
-[[nodiscard]] std::size_t heartbeat_count();
 
 #endif  // ROCPIO_TELEMETRY_DISABLED
 

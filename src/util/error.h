@@ -44,6 +44,14 @@ class FormatError : public Error {
       : Error("format error: " + what) {}
 };
 
+/// A FormatError raised because the bytes ran out before the record being
+/// parsed did.  A reader that parses from a window of a file widens the
+/// window on this error and on no other.
+class TruncatedError : public FormatError {
+ public:
+  using FormatError::FormatError;
+};
+
 /// Message-passing runtime failure (invalid rank, communicator misuse, ...).
 class CommError : public Error {
  public:

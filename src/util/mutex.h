@@ -57,17 +57,6 @@ class ROC_CAPABILITY("mutex") Mutex {
     m_.unlock();
   }
 
-  [[nodiscard]] bool try_lock(
-      std::source_location loc = std::source_location::current())
-      ROC_TRY_ACQUIRE(true) ROC_NO_THREAD_SAFETY_ANALYSIS {
-    const bool ok = m_.try_lock();
-    if (ok) {
-      ROC_CHECKHOOK_(lock_acquire(this, name_, loc.file_name(), loc.line()));
-    }
-    (void)loc;
-    return ok;
-  }
-
  private:
   friend class CondVar;
   std::mutex m_;
@@ -137,7 +126,6 @@ class CondVar {
     return status == std::cv_status::no_timeout;
   }
 
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

@@ -190,16 +190,16 @@ class ByteReader {
   void check(size_t need) const {
     if (data_.size() - pos_ < need)
       // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: truncated-stream error path only.
-      throw FormatError("byte stream truncated: need " +
-                        // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: truncated-stream error path only.
-                        std::to_string(need) + " bytes, have " +
-                        std::to_string(data_.size() - pos_));
+      throw TruncatedError("byte stream truncated: need " +
+                           // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: truncated-stream error path only.
+                           std::to_string(need) + " bytes, have " +
+                           std::to_string(data_.size() - pos_));
   }
   /// Guards element-count * element-size overflow before allocation.
   void check_count(uint64_t count, size_t elem) const {
     if (count > (data_.size() - pos_) / elem)
-      throw FormatError("byte stream truncated: vector of " +
-                        std::to_string(count) + " elements does not fit");
+      throw TruncatedError("byte stream truncated: vector of " +
+                           std::to_string(count) + " elements does not fit");
   }
 
   std::span<const unsigned char> data_;

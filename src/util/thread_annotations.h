@@ -56,10 +56,6 @@
 #define ROC_RELEASE(...) \
   ROC_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns the given value.
-#define ROC_TRY_ACQUIRE(...) \
-  ROC_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
 /// Function must NOT be called with the capability held (it takes it).
 #define ROC_EXCLUDES(...) ROC_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 

@@ -9,6 +9,7 @@
 #endif
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 
 #include "comm/comm.h"
@@ -264,56 +265,12 @@ TEST(Collectives, AllgatherVariableSizes) {
 TEST(Collectives, TypedReductions) {
   World::run(5, [](Comm& comm) {
     const double r = comm.rank();
-    EXPECT_DOUBLE_EQ(allreduce_sum(comm, r), 0 + 1 + 2 + 3 + 4);
+    EXPECT_DOUBLE_EQ(allreduce(comm, r, std::plus<>()), 0 + 1 + 2 + 3 + 4);
     EXPECT_DOUBLE_EQ(allreduce_max(comm, r), 4);
-    EXPECT_DOUBLE_EQ(allreduce_min(comm, r), 0);
-    EXPECT_EQ(allreduce_sum(comm, comm.rank() * 10), 100);
-  });
-}
-
-TEST(Collectives, ScatterDistributesByRank) {
-  for (int n : {1, 2, 3, 5, 8}) {
-    World::run(n, [n](Comm& comm) {
-      std::vector<std::vector<unsigned char>> parts;
-      if (comm.rank() == n / 2) {  // non-zero root
-        for (int r = 0; r < n; ++r)
-          parts.push_back(bytes_of("to_" + std::to_string(r)));
-      }
-      const auto mine = comm.scatter(parts, n / 2);
-      EXPECT_EQ(string_of(mine), "to_" + std::to_string(comm.rank()));
-    });
-  }
-}
-
-TEST(Collectives, AlltoallPersonalizedExchange) {
-  World::run(4, [](Comm& comm) {
-    std::vector<std::vector<unsigned char>> parts;
-    for (int r = 0; r < 4; ++r)
-      parts.push_back(bytes_of(std::to_string(comm.rank()) + "->" +
-                               std::to_string(r)));
-    const auto got = comm.alltoall(parts);
-    ASSERT_EQ(got.size(), 4u);
-    for (int r = 0; r < 4; ++r)
-      EXPECT_EQ(string_of(got[static_cast<size_t>(r)]),
-                std::to_string(r) + "->" + std::to_string(comm.rank()));
-  });
-}
-
-TEST(Collectives, AlltoallVariableSizesAndRepeats) {
-  World::run(3, [](Comm& comm) {
-    for (int round = 0; round < 3; ++round) {
-      std::vector<std::vector<unsigned char>> parts;
-      for (int r = 0; r < 3; ++r)
-        parts.emplace_back(static_cast<size_t>(comm.rank() + r + round),
-                           static_cast<unsigned char>(round));
-      const auto got = comm.alltoall(parts);
-      for (int r = 0; r < 3; ++r) {
-        EXPECT_EQ(got[static_cast<size_t>(r)].size(),
-                  static_cast<size_t>(r + comm.rank() + round));
-        for (auto b : got[static_cast<size_t>(r)])
-          EXPECT_EQ(b, static_cast<unsigned char>(round));
-      }
-    }
+    EXPECT_DOUBLE_EQ(
+        allreduce(comm, r, [](double a, double b) { return a < b ? a : b; }),
+        0);
+    EXPECT_EQ(allreduce(comm, comm.rank() * 10, std::plus<>()), 100);
   });
 }
 
@@ -365,7 +322,7 @@ TEST(Split, GroupsByColorOrderedByKey) {
     (void)expected_new_rank;
 
     // The sub-communicator works for messaging.
-    const double sum = allreduce_sum(*sub, 1.0);
+    const double sum = allreduce(*sub, 1.0, std::plus<>());
     EXPECT_DOUBLE_EQ(sum, 3.0);
   });
 }
@@ -407,7 +364,7 @@ TEST(Split, SplitOfSplit) {
     auto quarter = half->split(half->rank() / 2, half->rank());
     ASSERT_NE(quarter, nullptr);
     EXPECT_EQ(quarter->size(), 2);
-    EXPECT_DOUBLE_EQ(allreduce_sum(*quarter, 1.0), 2.0);
+    EXPECT_DOUBLE_EQ(allreduce(*quarter, 1.0, std::plus<>()), 2.0);
   });
 }
 

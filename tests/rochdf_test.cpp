@@ -256,6 +256,33 @@ TEST_P(RochdfTest, SnapshotExcludesFilesOfALongerBasename) {
   }
 }
 
+TEST_P(RochdfTest, FetchBlocksNamesEveryMissingPane) {
+  vfs::MemFileSystem fs;
+  comm::World::run(1, [&](comm::Comm& comm) {
+    comm::RealEnv env;
+    Rochdf io(comm, env, fs, opts());
+    Roccom com;
+    auto& w = com.create_window("fluid");
+    auto b0 = make_block(0);
+    auto b1 = make_block(1);
+    w.register_pane(0, &b0);
+    w.register_pane(1, &b1);
+    io.write_attribute(com, IoRequest{"fluid", "all", "partial", 0.0});
+    io.sync();
+
+    try {
+      (void)io.fetch_blocks("partial", {0, 1, 5});
+      ADD_FAILURE() << "no IoError for pane 5";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "restart from 'partial': blocks not found: 5"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(io.fetch_blocks("partial", {0, 1}).size(), 2u);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, RochdfTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Threaded" : "Plain";

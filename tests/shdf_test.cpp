@@ -296,6 +296,21 @@ TEST(Shdf, OnDiskBytesArePinned) {
   }
 }
 
+/// Sets the codec byte of the first dataset header in `path` to 1.
+void plant_codec_byte(vfs::FileSystem& fs, const std::string& path) {
+  // The first header follows the superblock: name (u32 length + bytes),
+  // element type byte, codec byte.  Every dataset here is named "x".
+  const uint64_t at = kSuperblockBytes + 4 + 1 + 1;
+  auto f = fs.open(path, vfs::OpenMode::kReadWrite);
+  unsigned char b = 0xFF;
+  f->seek(at);
+  f->read(&b, 1);
+  ASSERT_EQ(b, 0);
+  b = 1;
+  f->seek(at);
+  f->write(&b, 1);
+}
+
 TEST(Shdf, NonZeroCodecByteRejected) {
   // Payloads are stored as they are: a header whose codec byte names a
   // filter describes bytes this reader cannot interpret.
@@ -304,21 +319,73 @@ TEST(Shdf, NonZeroCodecByteRejected) {
     Writer w(fs, "codec.shdf");
     w.add("x", std::vector<double>{1.0, 2.0});
   }
-  {
-    // The first header follows the superblock: name (u32 length + bytes),
-    // element type byte, codec byte.
-    const uint64_t at = kSuperblockBytes + 4 + 1 + 1;
-    auto f = fs.open("codec.shdf", vfs::OpenMode::kReadWrite);
-    unsigned char b = 0xFF;
-    f->seek(at);
-    f->read(&b, 1);
-    ASSERT_EQ(b, 0);
-    b = 1;
-    f->seek(at);
-    f->write(&b, 1);
-  }
+  plant_codec_byte(fs, "codec.shdf");
   expect_format_error([&] { Reader r(fs, "codec.shdf"); },
                       "unsupported codec");
+}
+
+/// File handle that adds every byte it reads to a shared counter.
+class CountingFile final : public vfs::File {
+ public:
+  CountingFile(std::unique_ptr<vfs::File> f, uint64_t& bytes_read)
+      : f_(std::move(f)), bytes_read_(bytes_read) {}
+
+  void writev(std::span<const ConstBuffer> segments) override {
+    f_->writev(segments);
+  }
+  void read(void* out, size_t n) override {
+    bytes_read_ += n;
+    f_->read(out, n);
+  }
+  void seek(uint64_t pos) override { f_->seek(pos); }
+  [[nodiscard]] uint64_t tell() const override { return f_->tell(); }
+  [[nodiscard]] uint64_t size() const override { return f_->size(); }
+  void flush() override { f_->flush(); }
+
+ private:
+  std::unique_ptr<vfs::File> f_;
+  uint64_t& bytes_read_;
+};
+
+/// FileSystem decorator that counts the bytes read through its files.
+class CountingFileSystem final : public vfs::FileSystem {
+ public:
+  explicit CountingFileSystem(vfs::FileSystem& base) : base_(base) {}
+
+  std::unique_ptr<vfs::File> open(const std::string& path,
+                                  vfs::OpenMode mode) override {
+    return std::make_unique<CountingFile>(base_.open(path, mode),
+                                          bytes_read);
+  }
+  bool exists(const std::string& path) override { return base_.exists(path); }
+  void remove(const std::string& path) override { base_.remove(path); }
+  std::vector<std::string> list(const std::string& prefix) override {
+    return base_.list(prefix);
+  }
+
+  uint64_t bytes_read = 0;
+
+ private:
+  vfs::FileSystem& base_;
+};
+
+TEST(Shdf, InvalidHeaderFailsOnTheFirstProbe) {
+  // A complete but invalid header is not a header longer than the probe
+  // window: the reader must not widen the probe over the payload behind it.
+  vfs::MemFileSystem fs;
+  {
+    Writer w(fs, "big.shdf");
+    w.add("x", std::vector<double>(std::size_t{1} << 17, 1.0));  // 1 MiB
+  }
+  plant_codec_byte(fs, "big.shdf");
+  const uint64_t directory_bytes =
+      read_index(*fs.open("big.shdf", vfs::OpenMode::kRead), "big.shdf")
+          .superblock.directory_bytes;
+
+  CountingFileSystem counting(fs);
+  expect_format_error([&] { Reader r(counting, "big.shdf"); },
+                      "unsupported codec");
+  EXPECT_LE(counting.bytes_read, kSuperblockBytes + directory_bytes + 512);
 }
 
 TEST(Shdf, NotAnShdfFileRejected) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "mesh/generators.h"
@@ -255,11 +256,11 @@ TEST(SimComm, CollectivesAndSplitWork) {
   for (int r = 0; r < 6; ++r) {
     sim.add_process([world](ProcContext&) {
       auto comm = world->attach();
-      EXPECT_EQ(comm::allreduce_sum(*comm, comm->rank()), 15);
+      EXPECT_EQ(comm::allreduce(*comm, comm->rank(), std::plus<>()), 15);
       auto sub = comm->split(comm->rank() % 2, comm->rank());
       ASSERT_NE(sub, nullptr);
       EXPECT_EQ(sub->size(), 3);
-      EXPECT_EQ(comm::allreduce_sum(*sub, 1), 3);
+      EXPECT_EQ(comm::allreduce(*sub, 1, std::plus<>()), 3);
       comm->barrier();
     });
   }

@@ -800,7 +800,6 @@ TEST(Watchdog, RetiredHeartbeatIsNotPolled) {
   FixedClock fixed(100.0);
   ScopedClock scoped(&fixed);
   watchdog::beat("test.retiring_worker", 1.0);
-  EXPECT_EQ(watchdog::heartbeat_count(), 1u);
   watchdog::retire("test.retiring_worker");
   fixed.t_ = 200.0;
   EXPECT_EQ(watchdog::poll(), 0);  // retired: a clean exit, not a stall
