@@ -362,8 +362,7 @@ BENCHMARK(BM_ServerWritePassThrough)->Arg(16)->Arg(48);
 /// tracing left in its default (disabled) state.  Paired with
 /// BM_BlockShipZeroCopy this bounds the telemetry idle cost on the PR 2
 /// zero-copy hot path: each disabled span is one relaxed atomic load and a
-/// branch, so the pair must stay within ~2%; built with
-/// -DROCPIO_TELEMETRY=OFF the macros vanish and the pair is identical.
+/// branch, so the pair must stay within ~2%.
 void BM_BlockShipZeroCopyTraced(benchmark::State& state) {
   const auto b = marshal_block(static_cast<int>(state.range(0)));
   const int64_t wire_bytes = static_cast<int64_t>(

@@ -6,7 +6,6 @@
 #include "roccom/block_wire.h"
 #include "shdf/reader.h"
 #include "telemetry/trace.h"
-#include "telemetry/watchdog.h"
 #include "util/check_hooks.h"
 #include "util/log.h"
 
@@ -15,12 +14,6 @@ namespace roc::rochdf {
 using roccom::IoRequest;
 using roccom::Pane;
 using roccom::Roccom;
-
-namespace {
-/// Watchdog deadline for the T-Rochdf writer: a buffered snapshot job is
-/// expected to reach disk within this many seconds of the previous beat.
-constexpr double kWriterDeadlineSeconds = 30.0;
-}  // namespace
 
 Rochdf::Rochdf(comm::Comm& comm, comm::Env& env, vfs::FileSystem& fs,
                Options options)
@@ -84,7 +77,6 @@ void Rochdf::write_job(const Job& job) {
   // this span a child of the perceived write that buffered it.
   telemetry::ScopedTraceContext adopt(job.ctx);
   ROC_TRACE_SPAN_D("rochdf", "snapshot.background", job.base);
-  telemetry::watchdog::beat("rochdf.writer", kWriterDeadlineSeconds);
   if (writer_ && open_path_ != job.file) {
     writer_->close();
     writer_.reset();

@@ -12,7 +12,6 @@
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "telemetry/trace.h"
-#include "telemetry/watchdog.h"
 #include "util/check_hooks.h"
 #include "util/log.h"
 #include "util/serialize.h"
@@ -29,11 +28,6 @@ ROC_COLD std::string server_file(const std::string& prefix,
 }
 
 namespace {
-
-/// Watchdog deadline for the background writer: a buffered block is
-/// expected to reach disk within this many seconds of the previous beat
-/// (same clock domain as telemetry::now()).
-constexpr double kWriterDeadlineSeconds = 30.0;
 
 /// CPU burnt per poll by the spinning idle probe (ablation A4).
 constexpr double kIdlePollInterval = 100e-6;
@@ -314,8 +308,6 @@ class Server {
     const RequestMeta& meta = *item.meta;
     telemetry::ScopedTraceContext adopt(meta.ctx);
     ROC_TRACE_SPAN_D("server", "snapshot.background", meta.header.file);
-    telemetry::watchdog::beat("server.background_writer",
-                              kWriterDeadlineSeconds);
     ensure_writer(meta.path);
     // Pass-through: dataset payloads stream from the retained wire bytes;
     // no MeshBlock, no re-marshalling.  The server-retained scratch makes

@@ -5,18 +5,18 @@
 ///
 /// The Chrome export answers "what happened during this traced run"; the
 /// dump answers "what was every thread doing just before the crash or
-/// stall".  Both read the same rings, armed by set_trace_enabled().  Per
+/// failure".  Both read the same rings, armed by set_trace_enabled().  Per
 /// thread the dump shows its name, a count of its events left out, and
 /// its last kDumpEventsPerThread events: span begins (so open spans
-/// show), span ends, instants, kError log lines, require failures and
-/// watchdog findings.  It consumes nothing, and shows an exited thread's
-/// ring until a new thread reuses it.  It is async-signal-safe (no locks,
-/// no allocation, raw write(2)) and skips an event the writer overwrites
-/// while it reads, instead of printing it torn.
+/// show), span ends, instants, kError log lines and require failures.
+/// It consumes nothing, and shows an exited thread's ring until a new
+/// thread reuses it.  It is async-signal-safe (no locks, no allocation,
+/// raw write(2)) and skips an event the writer overwrites while it reads,
+/// instead of printing it torn.
 ///
 /// Dump triggers: install_signal_handlers() (SIGSEGV/SIGABRT); a
 /// roc::require failure while recording, when set_dump_path() configured
-/// a path; a missed watchdog heartbeat (watchdog.h); dump_now().
+/// a path; dump_now().
 
 #include <cstddef>
 
@@ -25,11 +25,11 @@ namespace roc::telemetry::flight {
 /// Events per thread a dump prints, newest last.
 inline constexpr std::size_t kDumpEventsPerThread = 256;
 
-/// Configures where automatic dumps (require failure, watchdog, signals)
-/// land.  Empty or null disables require-failure auto-dumps; watchdog and
-/// signal dumps fall back to "rocpio-flight.json" in the working
-/// directory.  The path is copied into a fixed buffer (signal safety);
-/// overlong paths are truncated.
+/// Configures where automatic dumps (require failure, signals) land.
+/// Empty or null disables require-failure auto-dumps; signal dumps fall
+/// back to "rocpio-flight.json" in the working directory.  The path is
+/// copied into a fixed buffer (signal safety); overlong paths are
+/// truncated.
 void set_dump_path(const char* path);
 
 /// Serializes the last events of every thread as one JSON object to `fd`.

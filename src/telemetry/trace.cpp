@@ -331,7 +331,7 @@ struct FdWriter {
 };
 
 constexpr const char* kKindNames[] = {"span_begin", "span_end", "instant",
-                                      "error", "watchdog"};
+                                      "error"};
 
 /// One thread: its newest kDumpEventsPerThread events since the current
 /// owner took the ring, skipping any the owner overwrites meanwhile.

@@ -14,9 +14,8 @@
 ///
 /// Recording is off by default; every macro starts with a relaxed atomic
 /// load, so the disabled cost is a test-and-branch, and a thread that
-/// records nothing gets no ring.  -DROCPIO_TELEMETRY=OFF compiles the
-/// macros away (`ROCPIO_TELEMETRY_DISABLED`); the bench_micro overhead pair
-/// bounds the idle cost on the zero-copy hot path.
+/// records nothing gets no ring.  The bench_micro overhead pair bounds
+/// the idle cost on the zero-copy hot path.
 ///
 /// Timestamps come from telemetry::now() (clock.h): wall time normally,
 /// *virtual* time when the simulator has installed its clock.
@@ -101,7 +100,6 @@ enum class EventKind : std::uint8_t {
   kSpanEnd,    ///< ts = start, dur = length
   kInstant,
   kError,      ///< kError log lines and require failures
-  kWatchdog,   ///< missed heartbeats
 };
 
 /// One event for the calling thread's ring.  `category` / `name` must be
@@ -226,15 +224,6 @@ class TraceWriter {
 
 }  // namespace roc::telemetry
 
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-
-#define ROC_TRACE_SPAN(category, name) ((void)0)
-#define ROC_TRACE_SPAN_D(category, name, detail) ((void)0)
-#define ROC_TRACE_INSTANT(category, name) ((void)0)
-#define ROC_TRACE_INSTANT_D(category, name, detail) ((void)0)
-
-#else
-
 #define ROC_TRACE_CONCAT_2_(a, b) a##b
 #define ROC_TRACE_CONCAT_(a, b) ROC_TRACE_CONCAT_2_(a, b)
 
@@ -266,5 +255,3 @@ class TraceWriter {
       ::roc::telemetry::record_instant(category, name,       \
                                        std::string(detail)); \
   } while (0)
-
-#endif  // ROCPIO_TELEMETRY_DISABLED

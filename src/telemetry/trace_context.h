@@ -11,10 +11,7 @@
 /// client's trace id and parent span id and the Chrome trace can draw flow
 /// arrows between them (trace.h).
 ///
-/// The struct itself is defined unconditionally — comm::Message and the
-/// substrate envelopes embed it by value, and their layout must not depend
-/// on the telemetry configuration.  Under ROCPIO_TELEMETRY_DISABLED all
-/// accessors compile to no-ops returning the null context.
+/// comm::Message and the substrate envelopes embed the struct by value.
 ///
 /// Id allocation is a process-global counter, resettable via
 /// reset_trace_ids() so deterministic replays (sim clock) mint identical
@@ -33,23 +30,6 @@ struct TraceContext {
 
   [[nodiscard]] bool valid() const { return trace_id != 0; }
 };
-
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-
-[[nodiscard]] inline TraceContext current_trace_context() { return {}; }
-inline void set_trace_context(TraceContext) {}
-inline std::uint64_t alloc_trace_id() { return 0; }
-inline std::uint64_t alloc_span_id() { return 0; }
-inline void reset_trace_ids() {}
-
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(TraceContext) {}
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-};
-
-#else
 
 namespace detail {
 inline thread_local TraceContext g_trace_context{};
@@ -98,7 +78,5 @@ class ScopedTraceContext {
  private:
   TraceContext prev_;
 };
-
-#endif  // ROCPIO_TELEMETRY_DISABLED
 
 }  // namespace roc::telemetry

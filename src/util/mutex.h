@@ -19,7 +19,6 @@
 /// With `-DROCPIO_CHECK=OFF` this compiles to exactly a `std::mutex`: the
 /// checker hooks vanish and every method is a one-line inline forward.
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <source_location>
@@ -106,24 +105,6 @@ class CondVar {
   template <typename Pred>
   void wait(Mutex& m, Pred pred) ROC_REQUIRES(m) {
     while (!pred()) wait(m);
-  }
-
-  /// Timed wait: blocks until notified or `seconds` of real time elapse;
-  /// returns false on timeout (spurious wakeups return true, so callers
-  /// still loop on their predicate).  Real-clock cadence only — the
-  /// watchdog poller's tick — never a correctness wait: the simulator's
-  /// virtual clock does not drive it.
-  bool wait_for(Mutex& m, double seconds,
-                std::source_location loc = std::source_location::current())
-      ROC_REQUIRES(m) ROC_NO_THREAD_SAFETY_ANALYSIS {
-    ROC_CHECKHOOK_(wait_begin(&m));
-    std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lk, std::chrono::duration<double>(seconds));
-    lk.release();  // Caller still owns the lock after wait_for() returns.
-    ROC_CHECKHOOK_(wait_end(&m, m.name_, loc.file_name(), loc.line()));
-    (void)loc;
-    return status == std::cv_status::no_timeout;
   }
 
   void notify_all() { cv_.notify_all(); }

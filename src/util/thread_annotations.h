@@ -35,15 +35,6 @@
 /// Data member readable/writable only with the given capability held.
 #define ROC_GUARDED_BY(x) ROC_THREAD_ANNOTATION_(guarded_by(x))
 
-/// Pointer member whose *pointee* is protected by the given capability.
-#define ROC_PT_GUARDED_BY(x) ROC_THREAD_ANNOTATION_(pt_guarded_by(x))
-
-/// Lock-ordering declarations (deadlock prevention).
-#define ROC_ACQUIRED_BEFORE(...) \
-  ROC_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define ROC_ACQUIRED_AFTER(...) \
-  ROC_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
 /// Function requires the capability to be held on entry (and exit).
 #define ROC_REQUIRES(...) \
   ROC_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
@@ -58,13 +49,6 @@
 
 /// Function must NOT be called with the capability held (it takes it).
 #define ROC_EXCLUDES(...) ROC_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-
-/// Asserts (at runtime) that the capability is held; teaches the analysis.
-#define ROC_ASSERT_CAPABILITY(x) \
-  ROC_THREAD_ANNOTATION_(assert_capability(x))
-
-/// Function returns a reference to the given capability.
-#define ROC_RETURN_CAPABILITY(x) ROC_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Escape hatch: disables analysis inside one function.  Reserved for the
 /// lock *implementations* themselves (roc::Mutex, the Gate backends), whose

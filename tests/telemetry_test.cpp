@@ -3,7 +3,7 @@
 /// Chrome-trace JSON well-formedness (checked with a strict JSON parser),
 /// the per-snapshot timeline arithmetic (synthetic traces and the real
 /// T-Rochdf pipeline on the simulator), the flight dump and the ring
-/// registry, the watchdog, the log satellites (ROC_LOG single evaluation,
+/// registry, the log satellites (ROC_LOG single evaluation,
 /// ScopedLogCapture, the error->instant mirror), and the exact values of
 /// every service's Stats counters.
 
@@ -33,7 +33,6 @@
 #include "telemetry/flight.h"
 #include "telemetry/timeline.h"
 #include "telemetry/trace.h"
-#include "telemetry/watchdog.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/log_capture.h"
@@ -404,9 +403,6 @@ TEST(TraceTest, FlowStartIsClampedIntoTheParentWindow) {
 /// between them, must serialize to bit-identical Chrome traces: thread
 /// ids, trace/span ids and (virtual) timestamps all restart.
 TEST(TraceTest, SimReplaysSerializeBitIdentically) {
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "trace macros compiled out (ROCPIO_TELEMETRY=OFF)";
-#else
   const auto one_replay = [] {
     reset_trace_identity_for_replay();
     ScopedTracing tracing;
@@ -444,7 +440,6 @@ TEST(TraceTest, SimReplaysSerializeBitIdentically) {
   EXPECT_NE(first.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(first.find("\"trace_id\""), std::string::npos);
   EXPECT_EQ(first, second);
-#endif
 }
 
 // --- timeline ---------------------------------------------------------------
@@ -504,9 +499,6 @@ TEST(Timeline, PerceivedIsMaxAcrossRanksAndSnapshotsAreSorted) {
 /// virtual time, (b) hide most of the write, and (c) satisfy the Fig. 3
 /// identity perceived + hidden ~= wall within 5%.
 TEST(Timeline, TRochdfOnSimSatisfiesTheFig3Identity) {
-#if defined(ROCPIO_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "trace macros compiled out (ROCPIO_TELEMETRY=OFF)";
-#else
   ScopedTracing tracing;
   sim::Platform p;
   p.node.cpus = 2;
@@ -547,12 +539,9 @@ TEST(Timeline, TRochdfOnSimSatisfiesTheFig3Identity) {
   EXPECT_EQ(s.client_threads, 1);
   EXPECT_EQ(s.writer_threads, 1);
   EXPECT_NEAR(s.perceived_s + s.hidden_s, s.wall_s, 0.05 * s.wall_s);
-#endif
 }
 
 // --- flight recorder --------------------------------------------------------
-
-#if !defined(ROCPIO_TELEMETRY_DISABLED)
 
 /// Turns recording on with a dump path for a scope; restores off + no
 /// dump path.
@@ -741,75 +730,6 @@ TEST(TraceRing, ExitedThreadsRingsAreReusedOnceCollected) {
     ASSERT_LE(detail::ring_count(), before + 2u) << "after thread " << i;
   }
 }
-
-// --- watchdog ---------------------------------------------------------------
-
-TEST(Watchdog, MissedHeartbeatDumpsEveryThreadOnce) {
-  watchdog::reset_for_testing();
-  const std::string path = testing::TempDir() + "/flight_watchdog.json";
-  std::remove(path.c_str());
-  ScopedFlight flight_on(path);
-  ScopedLogCapture capture(LogLevel::kDebug);  // keep stderr quiet
-  FixedClock fixed(100.0);
-  ScopedClock scoped(&fixed);
-
-  // A second thread leaves its last words in the recorder; the stall dump
-  // must carry them even though the thread is long gone.
-  roc::Thread other([] {
-    set_thread_name("bystander thread");
-    record_instant("test", "bystander.mark");
-  });
-  other.join();
-
-  watchdog::beat("test.stalled_worker", 5.0);
-  EXPECT_EQ(watchdog::poll(), 0);  // fresh beat: not overdue
-
-  fixed.t_ = 110.0;  // 10 s since the beat, deadline 5 s
-  EXPECT_EQ(watchdog::poll(), 1);
-
-  const std::string json = slurp(path);
-  ASSERT_FALSE(json.empty()) << "watchdog stall did not dump to " << path;
-  EXPECT_TRUE(JsonChecker::valid(json)) << json;
-  EXPECT_NE(json.find("watchdog stall: test.stalled_worker"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"watchdog\""), std::string::npos);
-  // Every thread's last events are in the dump, not just the poller's.
-  EXPECT_NE(json.find("\"bystander thread\""), std::string::npos);
-  EXPECT_NE(json.find("\"bystander.mark\""), std::string::npos);
-  EXPECT_TRUE(capture.contains("watchdog"));
-
-  // One alarm per stall: a second poll stays overdue but fires nothing.
-  std::remove(path.c_str());
-  EXPECT_EQ(watchdog::poll(), 1);
-  EXPECT_TRUE(slurp(path).empty());
-
-  // Recovery rearms the alarm: the next stall dumps again.
-  watchdog::beat("test.stalled_worker", 5.0);
-  EXPECT_EQ(watchdog::poll(), 0);
-  fixed.t_ = 130.0;
-  EXPECT_EQ(watchdog::poll(), 1);
-  EXPECT_NE(slurp(path).find("watchdog stall: test.stalled_worker"),
-            std::string::npos);
-  std::remove(path.c_str());
-  watchdog::reset_for_testing();
-}
-
-TEST(Watchdog, RetiredHeartbeatIsNotPolled) {
-  watchdog::reset_for_testing();
-  ScopedLogCapture capture(LogLevel::kDebug);
-  FixedClock fixed(100.0);
-  ScopedClock scoped(&fixed);
-  watchdog::beat("test.retiring_worker", 1.0);
-  watchdog::retire("test.retiring_worker");
-  fixed.t_ = 200.0;
-  EXPECT_EQ(watchdog::poll(), 0);  // retired: a clean exit, not a stall
-  watchdog::beat("test.retiring_worker", 1.0);  // re-registering revives it
-  fixed.t_ = 300.0;
-  EXPECT_EQ(watchdog::poll(), 1);
-  watchdog::reset_for_testing();
-}
-
-#endif  // !ROCPIO_TELEMETRY_DISABLED
 
 // --- log satellites ---------------------------------------------------------
 

@@ -35,10 +35,10 @@ Enforces repo-wide correctness invariants that the compiler cannot:
                    flow through the vfs layer so telemetry spans and
                    the sim substrate see it.  Reads stay legal (tools
                    legitimately read /proc etc.).
-  metric-name      Every span/heartbeat name handed to the telemetry emit
-                   helpers (the ROC_TRACE_* macros' category+name,
-                   watchdog::beat) must be a single string literal
-                   matching the lowercase dotted grammar
+  metric-name      Every span/instant name handed to the telemetry emit
+                   macros (the ROC_TRACE_* category and name) must be
+                   a single string literal matching the lowercase
+                   dotted grammar
                    `[a-z][a-z0-9_]*(.[a-z][a-z0-9_]*)*` -- ad-hoc or
                    computed names break tools/trace_report.py's
                    grouping.  Dynamic names
@@ -374,11 +374,9 @@ def check_raw_io(root: str, path: str, text: str, stripped: str):
 
 # --- rule: metric-name ------------------------------------------------------
 
-# Emit sites whose name argument(s) are checked: trace macros (category
-# and name) and watchdog heartbeats (first arg).
+# Emit sites whose name arguments (category and name) are checked.
 METRIC_EMIT_RE = re.compile(
-    r"(?:\b(?P<trace>ROC_TRACE_(?:SPAN_D|SPAN|INSTANT_D|INSTANT))"
-    r"|\bwatchdog\s*::\s*(?P<beat>beat))\s*\(")
+    r"\b(?P<trace>ROC_TRACE_(?:SPAN_D|SPAN|INSTANT_D|INSTANT))\s*\(")
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*$")
 STRING_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$', re.S)
 
@@ -424,10 +422,9 @@ def check_metric_name(root: str, path: str, text: str, stripped: str):
         prev = raw_lines[lineno - 2] if lineno >= 2 else ""
         if ALLOW_MARKER in raw or ALLOW_MARKER in prev:
             continue
-        site = m.group("trace") or "watchdog::beat"
-        nargs = 2 if m.group("trace") else 1
-        args = call_args(stripped, text, m.end() - 1, nargs)
-        if len(args) < nargs:
+        site = m.group("trace")
+        args = call_args(stripped, text, m.end() - 1, 2)
+        if len(args) < 2:
             # Unparseable (preprocessor definition, split across files).
             continue
         for arg in args:
@@ -436,7 +433,7 @@ def check_metric_name(root: str, path: str, text: str, stripped: str):
                 yield Violation(
                     "metric-name", rel, lineno,
                     f"{site}() name is not a single string literal -- "
-                    f"span/heartbeat names must be compile-time constants "
+                    f"span/instant names must be compile-time constants "
                     f"so trace_report.py can group on them; "
                     f"justify a dynamic name with "
                     f"`// LINT-ALLOW(metric-name): <reason>`")

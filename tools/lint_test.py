@@ -255,7 +255,7 @@ class TestMetricName(LintTestCase):
               ROC_TRACE_SPAN_D("client", "Ship.Background", detail);
               ROC_TRACE_INSTANT("server", "spill-over");
               ROC_TRACE_INSTANT_D("server..log", "error", line);
-              telemetry::watchdog::beat("Server.Writer", 30.0);
+              ROC_TRACE_SPAN("rochdf", "Writer");
             }
         """)
         v = self.run_rules(["metric-name"])
@@ -269,14 +269,14 @@ class TestMetricName(LintTestCase):
               ROC_TRACE_SPAN_D("server", "snapshot.background", item.base);
               ROC_TRACE_INSTANT("server", "spill");
               ROC_TRACE_INSTANT_D("log", "error", line);
-              telemetry::watchdog::beat("server.background_writer", 30.0);
+              ROC_TRACE_SPAN("rochdf", "snapshot.background");
             }
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 
     def test_flags_computed_names(self):
         self.write("src/a.cpp",
-                   'watchdog::beat(prefix + ".writer", 30.0);\n')
+                   'ROC_TRACE_INSTANT("rochdf", prefix + ".writer");\n')
         v = self.run_rules(["metric-name"])
         self.assertEqual(len(v), 1)
         self.assertIn("not a single string literal", v[0].message)
@@ -285,7 +285,7 @@ class TestMetricName(LintTestCase):
         self.write("src/a.cpp", """
             ROC_TRACE_SPAN("server", name);  // LINT-ALLOW(metric-name): dyn
             // LINT-ALLOW(metric-name): assembled from a checked id
-            watchdog::beat(prefix + ".writer", 30.0);
+            ROC_TRACE_INSTANT("rochdf", prefix + ".writer");
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 
@@ -307,7 +307,7 @@ class TestMetricName(LintTestCase):
     def test_ignores_comments_and_strings(self):
         self.write("src/b.cpp", """
             // e.g. ROC_TRACE_SPAN("Bad", "Name") would be rejected
-            const char* s = "watchdog::beat(Ugly)";
+            const char* s = "ROC_TRACE_INSTANT(Ugly, Name)";
         """)
         self.assertEqual(self.run_rules(["metric-name"]), [])
 

@@ -48,8 +48,8 @@ MAX_CHAIN = 6
 # Files implementing the sanctioned pool/gather channel (see module doc).
 CHANNEL_FILES = ("src/util/buffer.h", "src/util/buffer.cpp")
 # The interposer and annotation plumbing themselves, plus observability
-# (the trace ring with its Chrome export and flight dump, the watchdog,
-# lock-discipline tracking) and the deterministic sim substrate:
+# (the trace ring with its Chrome export and flight dump, lock-discipline
+# tracking) and the deterministic sim substrate:
 # instrumentation and device models are accounted outside the product hot
 # path.
 INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
@@ -57,8 +57,6 @@ INSTRUMENTATION_FILES = ("src/check/alloc_hook.h", "src/check/alloc_hook.cpp",
                          "src/util/mutex.h",
                          "src/telemetry/trace.h", "src/telemetry/trace.cpp",
                          "src/telemetry/flight.h",
-                         "src/telemetry/watchdog.h",
-                         "src/telemetry/watchdog.cpp",
                          "src/sim/sim_fs.h", "src/sim/sim_fs.cpp",
                          "src/sim/simulation.h", "src/sim/simulation.cpp")
 # Pool entry points: calls to these are the sanctioned way to obtain a hot

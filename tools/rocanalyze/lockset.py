@@ -75,7 +75,7 @@ def root_info(call):
         return (("raw syscall `::" + cal + "`", ())
                 if cal in BLOCKING_GLOBAL else ("", ()))
     leaf = cap_leaf(call.recv).lower()
-    if cal in ("wait", "wait_for"):
+    if cal == "wait":
         if rc == "CondVar" or (rc == "" and ("cv" in leaf or "cond" in leaf)):
             first = call.args.split(",")[0].strip()
             return ("CondVar::" + cal,
