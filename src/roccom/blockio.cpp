@@ -187,9 +187,16 @@ void write_block(shdf::Writer& w, const std::string& window,
 
 shdf::Writer open_snapshot_file(vfs::FileSystem& fs, const std::string& path,
                                 bool first) {
-  // The paper's services write HDF4; the linear directory reproduces that.
-  return first ? shdf::Writer(fs, path, shdf::DirectoryKind::kLinear)
-               : shdf::Writer::append(fs, path);
+  // The substrate picks the directory engine.  The simulator reproduces
+  // the paper's HDF4 platform, whose per-dataset directory writes Table 1
+  // and Fig. 3 are calibrated against; everywhere else put_dataset appends
+  // only the dataset and the directory is written once, at close(), which
+  // is the services' snapshot boundary.  An append keeps the file's kind.
+  if (!first) return shdf::Writer::append(fs, path);
+  return shdf::Writer(fs, path,
+                      fs.models_paper_platform()
+                          ? shdf::DirectoryKind::kLinear
+                          : shdf::DirectoryKind::kIndexed);
 }
 
 std::vector<std::string> snapshot_files(vfs::FileSystem& fs,

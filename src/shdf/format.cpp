@@ -159,6 +159,10 @@ Index read_index(vfs::File& file, const std::string& path) {
   file.read(bytes.data(), bytes.size());
   ByteReader sr(bytes.data(), bytes.size());
   const Superblock& sb = index.superblock = read_superblock(sr);
+  // The writer's placeholder superblock: no directory was ever written.
+  if (sb.directory_offset == 0)
+    throw FormatError(path + " was never committed: its writer stopped "
+                             "before writing a directory");
 
   index.file_size = file.size();
   if (sb.directory_offset > index.file_size ||

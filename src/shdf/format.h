@@ -14,16 +14,24 @@
 /// they are, so the byte is always 0 and the stored size equals the payload
 /// size, and the reader rejects anything else.  The directory is a list of
 /// (name, header offset) entries; its own offset/length live in the
-/// superblock, which is rewritten when the directory moves.
+/// superblock, which is rewritten when the directory moves.  An append
+/// writes its datasets after the old directory and leaves that directory as
+/// dead space, so the superblock always points at a complete directory.
+/// A superblock whose directory offset is 0 is the writer's placeholder: the
+/// file was never committed.
 ///
 /// Two directory engines model the HDF4-vs-HDF5 behaviour the paper leans
 /// on (§3.2, §7.1):
 ///   * kLinear  — entries in insertion order; name lookup is a linear scan;
 ///     the writer re-persists the directory after EVERY dataset append (the
 ///     way HDF4 maintains its in-file DD list), so file-update cost grows
-///     with the number of datasets already in the file.
+///     with the number of datasets already in the file.  Each append
+///     overwrites the directory the superblock points to, so a kLinear file
+///     is not crash-safe.  The simulator's snapshot files use it.
 ///   * kIndexed — entries sorted by name; lookup is a binary search; the
-///     directory is written once at close (HDF5-style).
+///     directory is written once at close (HDF5-style).  The services'
+///     snapshot files use it on every real substrate
+///     (roccom::open_snapshot_file picks the kind from the file system).
 
 #include "shdf/types.h"
 #include "util/serialize.h"

@@ -42,9 +42,14 @@ ROC_COLD Writer Writer::append(vfs::FileSystem& fs, const std::string& path) {
               return a.header_offset < b.header_offset;
             });
 
-  // New datasets overwrite the old directory region.
-  return Writer(std::move(file), path, index.superblock.directory_kind,
-                std::move(index.entries), index.superblock.directory_offset);
+  // New datasets go after the old directory, which the superblock keeps
+  // pointing to until close() has written the new one: a writer that stops
+  // before then leaves the file as it was.  The old directory becomes dead
+  // space.
+  const Superblock& sb = index.superblock;
+  return Writer(std::move(file), path, sb.directory_kind,
+                std::move(index.entries),
+                sb.directory_offset + sb.directory_bytes);
 }
 
 Writer::~Writer() {
@@ -109,12 +114,15 @@ void Writer::put_dataset(const DatasetDef& def, const BufferChain& payload) {
 
   // HDF4-like mode keeps the on-disk bookkeeping current after every
   // append, which is exactly why its cost grows with the dataset count.
+  // The next dataset overwrites the directory just written before the
+  // superblock moves off it: kLinear is a cost model, not crash-safe.
   if (kind_ == DirectoryKind::kLinear) persist_directory_and_superblock();
 }
 
 // ROC_COLD: directory persistence is the cold bookkeeping edge — once per
-// close in kIndexed mode; per-append only in the HDF4-like kLinear
-// ablation, whose bookkeeping cost is the point being measured.
+// close in kIndexed mode; per-append only in the HDF4-like kLinear model
+// (the simulator's engine, and A3's), whose bookkeeping cost is the point
+// being measured.
 ROC_COLD void Writer::persist_directory_and_superblock() {
   std::vector<DirEntry> dir = entries_;
   if (kind_ == DirectoryKind::kIndexed) {

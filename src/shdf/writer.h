@@ -3,9 +3,13 @@
 /// \brief SHDF file writer.
 ///
 /// Datasets are appended one at a time; close() (or destruction) finalizes
-/// the directory and superblock.  With DirectoryKind::kLinear the directory
-/// is re-persisted after every append (HDF4-like in-file bookkeeping cost);
-/// with kIndexed it is written once at close (HDF5-like).
+/// the directory and superblock.  With DirectoryKind::kIndexed put_dataset
+/// writes only the dataset, and the directory and then the superblock are
+/// written once, at close (HDF5-like): a file whose writer stops before
+/// close() still opens to its last committed state.  With kLinear the
+/// directory is re-persisted after every append (HDF4-like in-file
+/// bookkeeping cost), and each append overwrites the directory the
+/// superblock points to, so a kLinear file is not crash-safe.
 
 #include <memory>
 #include <span>
@@ -23,10 +27,10 @@ class Writer {
   Writer(vfs::FileSystem& fs, const std::string& path,
          DirectoryKind kind = DirectoryKind::kIndexed);
 
-  /// Re-opens an existing SHDF file for appending further datasets.  The
-  /// old directory region is overwritten by the first new dataset and a
-  /// fresh directory is written at close.  The directory kind is taken from
-  /// the file.
+  /// Re-opens an existing SHDF file for appending further datasets.  New
+  /// datasets start after the old directory, which stays in place as dead
+  /// space; close() writes a fresh directory and only then the superblock.
+  /// The directory kind is taken from the file.
   static Writer append(vfs::FileSystem& fs, const std::string& path);
 
   /// Finalizes on destruction if close() was not called; destruction never

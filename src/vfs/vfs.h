@@ -77,6 +77,12 @@ class FileSystem {
   /// All existing paths that start with `prefix`, sorted.
   [[nodiscard]] virtual std::vector<std::string> list(
       const std::string& prefix) = 0;
+
+  /// True for a substrate that stands in for the paper's 2003 platform (the
+  /// simulator).  Snapshot files written there keep HDF4's per-dataset
+  /// directory writes, which the paper's measurements include; on every
+  /// other substrate the directory is written once per commit.
+  [[nodiscard]] virtual bool models_paper_platform() const { return false; }
 };
 
 /// Real files on the host file system.  `root` is prepended to every path.

@@ -8,6 +8,7 @@
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/crc64.h"
+#include "util/log_capture.h"
 #include "vfs/vfs.h"
 
 namespace roc::shdf {
@@ -386,6 +387,153 @@ TEST(Shdf, InvalidHeaderFailsOnTheFirstProbe) {
   expect_format_error([&] { Reader r(counting, "big.shdf"); },
                       "unsupported codec");
   EXPECT_LE(counting.bytes_read, kSuperblockBytes + directory_bytes + 512);
+}
+
+/// FileSystem decorator for a process that crashes at op `crash_at`: from
+/// that file-system or file call onward (counting from 0) every call throws
+/// IoError and changes nothing, so a Writer's implicit close cannot write
+/// either.  What reached the base file system before the crash stays.
+class CrashingFileSystem final : public vfs::FileSystem {
+ public:
+  explicit CrashingFileSystem(vfs::FileSystem& base) : base_(base) {}
+
+  std::unique_ptr<vfs::File> open(const std::string& path,
+                                  vfs::OpenMode mode) override {
+    step();
+    return std::make_unique<CrashingFile>(base_.open(path, mode), *this);
+  }
+  bool exists(const std::string& path) override {
+    step();
+    return base_.exists(path);
+  }
+  void remove(const std::string& path) override {
+    step();
+    base_.remove(path);
+  }
+  std::vector<std::string> list(const std::string& prefix) override {
+    step();
+    return base_.list(prefix);
+  }
+
+  uint64_t ops = 0;  ///< Calls so far, including the failed ones.
+  uint64_t crash_at = UINT64_MAX;
+
+ private:
+  class CrashingFile final : public vfs::File {
+   public:
+    CrashingFile(std::unique_ptr<vfs::File> f, CrashingFileSystem& fs)
+        : f_(std::move(f)), fs_(fs) {}
+
+    void writev(std::span<const ConstBuffer> segments) override {
+      fs_.step();
+      f_->writev(segments);
+    }
+    void read(void* out, size_t n) override {
+      fs_.step();
+      f_->read(out, n);
+    }
+    void seek(uint64_t pos) override {
+      fs_.step();
+      f_->seek(pos);
+    }
+    [[nodiscard]] uint64_t tell() const override {
+      fs_.step();
+      return f_->tell();
+    }
+    [[nodiscard]] uint64_t size() const override {
+      fs_.step();
+      return f_->size();
+    }
+    void flush() override {
+      fs_.step();
+      f_->flush();
+    }
+
+   private:
+    std::unique_ptr<vfs::File> f_;
+    CrashingFileSystem& fs_;
+  };
+
+  void step() {
+    if (ops++ >= crash_at)
+      throw IoError("crashed at op " + std::to_string(crash_at));
+  }
+
+  vfs::FileSystem& base_;
+};
+
+TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
+  // A committed window, then an append of a second one that crashes at
+  // every op in turn: the file must open to exactly the old datasets or
+  // exactly the new set, with every payload intact.
+  const std::vector<std::string> old_names{"fluid/a", "fluid/b"};
+  const std::vector<std::string> new_names{"fluid/a", "fluid/b", "solid/c",
+                                           "solid/d", "solid/e"};
+  const auto payload = [](const std::string& name) {
+    return std::vector<double>(40, static_cast<double>(name.back()));
+  };
+  const auto commit_first = [&](vfs::FileSystem& fs) {
+    Writer w(fs, "c.shdf", DirectoryKind::kIndexed);
+    for (const auto& n : old_names) w.add(n, payload(n));
+  };
+  const auto append_second = [&](vfs::FileSystem& fs) {
+    Writer w = Writer::append(fs, "c.shdf");
+    for (size_t i = old_names.size(); i < new_names.size(); ++i)
+      w.add(new_names[i], payload(new_names[i]));
+    w.close();
+  };
+
+  uint64_t append_ops;
+  {
+    vfs::MemFileSystem mem;
+    commit_first(mem);
+    CrashingFileSystem fs(mem);
+    append_second(fs);
+    append_ops = fs.ops;
+  }
+  ASSERT_GT(append_ops, 8u);
+
+  ScopedLogCapture quiet;  // the implicit close logs each crash
+  for (uint64_t n = 0; n <= append_ops; ++n) {
+    SCOPED_TRACE("crash at op " + std::to_string(n));
+    vfs::MemFileSystem mem;
+    commit_first(mem);
+    CrashingFileSystem fs(mem);
+    fs.crash_at = n;
+    try {
+      append_second(fs);
+    } catch (const IoError&) {
+    }
+    try {
+      Reader r(mem, "c.shdf");
+      const auto names = r.dataset_names();
+      if (n == append_ops)
+        EXPECT_EQ(names, new_names);
+      else
+        EXPECT_TRUE(names == old_names || names == new_names);
+      for (const auto& name : names)
+        EXPECT_EQ(r.read<double>(name), payload(name));
+    } catch (const Error& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }
+}
+
+TEST(Shdf, NeverCommittedFileSaysSo) {
+  // A kIndexed writer that stops before its first close() leaves the
+  // placeholder superblock, which points at no directory.
+  vfs::MemFileSystem mem;
+  {
+    ScopedLogCapture quiet;  // the implicit close logs the crash
+    CrashingFileSystem fs(mem);
+    Writer w(fs, "new.shdf", DirectoryKind::kIndexed);
+    w.add("x", std::vector<double>{1.0, 2.0});
+    fs.crash_at = fs.ops;
+  }
+  expect_format_error([&] { Reader r(mem, "new.shdf"); },
+                      "new.shdf was never committed");
+  expect_format_error([&] { (void)Writer::append(mem, "new.shdf"); },
+                      "new.shdf was never committed");
 }
 
 TEST(Shdf, NotAnShdfFileRejected) {

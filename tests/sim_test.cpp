@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <numeric>
 
 #include "mesh/generators.h"
@@ -531,6 +532,85 @@ TEST(SimIntegration, ActiveBufferingHidesDiskTimeFromClients) {
   sim.run();
   EXPECT_GT(total, visible * 3)
       << "the disk time should be hidden behind the buffering ack";
+}
+
+/// Writes snapshot "plain" with Rochdf, "threaded" with T-Rochdf and
+/// "panda" with Rocpanda, each in two windows (so later windows append), on
+/// the file system `on_sim` picks: a SimFileSystem over `store`, or `store`
+/// itself.  Returns each written file's directory kind, read from `store`.
+std::map<std::string, shdf::DirectoryKind> snapshot_directory_kinds(
+    bool on_sim) {
+  vfs::MemFileSystem store;
+  Simulation sim(quiet_platform(3));
+  std::shared_ptr<vfs::FileSystem> fs;
+  if (on_sim)
+    fs = std::make_shared<SimFileSystem>(sim, store);
+  else
+    fs = std::make_shared<vfs::MemFileSystem>(store);
+  auto world = std::make_shared<SimWorld>(sim, 3);
+  for (int r = 0; r < 3; ++r) {
+    sim.add_process([world, fs](ProcContext& ctx) {
+      auto comm = world->attach();
+      SimEnv env(ctx.sim());
+      const rocpanda::Layout layout(comm->size(), 1);
+      const bool server = layout.is_server(comm->rank());
+      auto local = comm->split(server ? 1 : 0, comm->rank());
+      if (server) {
+        (void)rocpanda::run_server(*comm, *local, env, *fs, layout,
+                                   rocpanda::ServerOptions{});
+        return;
+      }
+      roccom::Roccom com;
+      auto fluid = mesh::MeshBlock::structured(local->rank(), {4, 4, 4});
+      mesh::add_fluid_schema(fluid);
+      com.create_window("fluid").register_pane(fluid.id(), &fluid);
+      auto solid = mesh::MeshBlock::structured(10 + local->rank(), {4, 4, 4});
+      com.create_window("solid").register_pane(solid.id(), &solid);
+      const auto write_both = [&](roccom::IoService& io,
+                                  const std::string& base) {
+        for (const char* window : {"fluid", "solid"})
+          io.write_attribute(com, roccom::IoRequest{window, "all", base, 0.0});
+        io.sync();
+      };
+      for (const bool threaded : {false, true}) {
+        rochdf::Options o;
+        o.threaded = threaded;
+        rochdf::Rochdf io(*local, env, *fs, o);
+        write_both(io, threaded ? "threaded" : "plain");
+      }
+      rocpanda::RocpandaClient panda(*comm, env, layout);
+      write_both(panda, "panda");
+      panda.shutdown();
+    });
+  }
+  sim.run();
+  std::map<std::string, shdf::DirectoryKind> kinds;
+  for (const auto& path : store.list("")) {
+    const shdf::Reader r(store, path);
+    EXPECT_FALSE(r.dataset_names_with_prefix("solid/").empty()) << path;
+    kinds[path] = r.directory_kind();
+  }
+  return kinds;
+}
+
+TEST(SimIntegration, SubstratePicksTheSnapshotDirectoryKind) {
+  // roccom::open_snapshot_file is the one place the kind is chosen: every
+  // service's files are kIndexed on a real substrate and kLinear (the
+  // paper's HDF4 bookkeeping) on the simulator.
+  for (const bool on_sim : {false, true}) {
+    SCOPED_TRACE(on_sim ? "SimFileSystem" : "MemFileSystem");
+    const auto kinds = snapshot_directory_kinds(on_sim);
+    std::vector<std::string> paths;
+    for (const auto& k : kinds) paths.push_back(k.first);
+    EXPECT_EQ(paths, (std::vector<std::string>{
+                         "panda_s0000.shdf", "plain_p0000.shdf",
+                         "plain_p0001.shdf", "threaded_p0000.shdf",
+                         "threaded_p0001.shdf"}));
+    for (const auto& [path, kind] : kinds)
+      EXPECT_EQ(kind, on_sim ? shdf::DirectoryKind::kLinear
+                             : shdf::DirectoryKind::kIndexed)
+          << path;
+  }
 }
 
 }  // namespace
