@@ -27,7 +27,6 @@ thread_local uint64_t t_charged = 0;  // unsanctioned (non-exempt) allocs
 thread_local int t_exempt = 0;
 
 std::atomic<uint64_t> g_allocs{0};
-std::atomic<uint64_t> g_frees{0};
 
 /// The single counting choke point for every replaced allocation function.
 void on_alloc(std::size_t n) {
@@ -39,7 +38,6 @@ void on_alloc(std::size_t n) {
 
 void on_free() {
   ++t_frees;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
 }
 
 void* do_alloc(std::size_t n, std::size_t align) {
@@ -87,7 +85,6 @@ uint64_t thread_frees() { return t_frees; }
 uint64_t thread_alloc_bytes() { return t_bytes; }
 uint64_t thread_charged_allocs() { return t_charged; }
 uint64_t total_allocs() { return g_allocs.load(std::memory_order_relaxed); }
-uint64_t total_frees() { return g_frees.load(std::memory_order_relaxed); }
 
 }  // namespace roc::check
 

@@ -29,8 +29,7 @@ uint64_t thread_alloc_bytes();
 /// Unsanctioned allocations on this thread: everything outside an
 /// ROC_ALLOC_EXEMPT bracket.
 uint64_t thread_charged_allocs();
-/// Process-wide totals.
+/// Process-wide allocation total.
 uint64_t total_allocs();
-uint64_t total_frees();
 
 }  // namespace roc::check

@@ -8,7 +8,9 @@
 /// (source, tag) with wildcards; collectives are called by every member.
 /// The collectives are barrier, bcast, gather and allgather (plus split),
 /// with the allreduce and allreduce_max helpers layered on allgather.
-/// Two implementations exist:
+/// Two implementations exist, both over one shared core,
+/// roc::comm::MailboxComm (mailbox_comm.h: envelope, matching, probes,
+/// split):
 ///   * roc::comm::ThreadComm — each process is a std::thread (real mode),
 ///   * roc::sim::SimComm     — cooperative processes on a virtual clock
 ///     (simulated mode, used by the benchmarks).

@@ -4,39 +4,21 @@
 #include <sched.h>
 #endif
 
-#include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 
-#include "util/check_hooks.h"
 #include "util/mutex.h"
-#include "util/serialize.h"
 #include "util/thread.h"
 
 namespace roc::comm {
 
 namespace detail {
 
-/// One pending message in a mailbox.  The payload is a SharedBuffer so a
-/// send of an already-shared buffer enqueues a reference, not a copy.
-struct Envelope {
-  uint64_t comm_id;
-  int source;  ///< Sender's rank within the communicator `comm_id`.
-  int tag;
-  SharedBuffer payload;
-  /// Sender's causal context, delivered in Message::ctx (trace stitching).
-  telemetry::TraceContext ctx;
-#if defined(ROCPIO_CHECK)
-  uint64_t check_token = 0;  ///< Carries the sender's clock to the receiver.
-#endif
-};
-
 /// Per-process mailbox: FIFO of envelopes + wakeup signalling.
 struct Mailbox {
   roc::Mutex mutex{"mailbox"};
   roc::CondVar cv;
-  std::deque<Envelope> queue ROC_GUARDED_BY(mutex);
+  EnvelopeQueue queue ROC_GUARDED_BY(mutex);
 };
 
 /// Shared state of one World: mailboxes indexed by global rank.
@@ -49,15 +31,6 @@ struct WorldState {
   BufferPool pool;
 };
 
-namespace {
-
-bool matches(const Envelope& e, uint64_t comm_id, int source, int tag) {
-  return e.comm_id == comm_id &&
-         (source == kAnySource || e.source == source) &&
-         (tag == kAnyTag || e.tag == tag);
-}
-
-}  // namespace
 }  // namespace detail
 
 namespace {
@@ -96,38 +69,17 @@ void start_on_cpu_slot(int slot) {
 
 }  // namespace
 
-using detail::Envelope;
 using detail::Mailbox;
 using detail::WorldState;
 
 ThreadComm::ThreadComm(std::shared_ptr<WorldState> world, uint64_t comm_id,
                        std::vector<int> members, int rank)
-    : world_(std::move(world)),
-      comm_id_(comm_id),
-      members_(std::move(members)),
-      rank_(rank) {}
+    : MailboxComm(comm_id, std::move(members), rank),
+      world_(std::move(world)) {}
 
-void ThreadComm::send(int dest, int tag, const void* data, size_t n) {
-  // The raw send contract lets the caller reuse `data` immediately, so this
-  // path must copy; send(SharedBuffer) below is the zero-copy path.
-  // ROCANALYZE-ALLOW(r8-hotpath-alloc,r9-copy-discipline): why: the raw-send contract requires a copy; hot callers ship SharedBuffers or chains instead.
-  send(dest, tag, SharedBuffer::copy_of(data, n));
-}
-
-void ThreadComm::send(int dest, int tag, SharedBuffer buf) {
-  require(dest >= 0 && dest < size(), "send: dest rank out of range");
-  Mailbox& box = world_->mailboxes[static_cast<size_t>(
-      members_[static_cast<size_t>(dest)])];
-  Envelope e;
-  e.comm_id = comm_id_;
-  e.source = rank_;
-  e.tag = tag;
-  e.payload = std::move(buf);  // reference enqueue: no byte copy
-  e.ctx = telemetry::current_trace_context();
-#if defined(ROCPIO_CHECK)
-  e.check_token = check::next_token();
-  ROC_CHECKHOOK_(packet_send(e.check_token));
-#endif
+void ThreadComm::post(int dest_world, int tag, SharedBuffer payload) {
+  Mailbox& box = world_->mailboxes[static_cast<size_t>(dest_world)];
+  Envelope e = make_envelope(tag, std::move(payload));
   {
     roc::MutexLock lock(box.mutex);
     // Mailbox ring growth is the transport's amortised cost: deque chunks
@@ -145,140 +97,25 @@ ROC_HOT void ThreadComm::sendv(int dest, int tag, const BufferChain& chain) {
   send(dest, tag, chain.gather(&world_->pool));
 }
 
-Message ThreadComm::recv(int source, int tag) {
-  require(source == kAnySource || (source >= 0 && source < size()),
-          "recv: source rank out of range");
-  Mailbox& box =
-      world_->mailboxes[static_cast<size_t>(members_[static_cast<size_t>(rank_)])];
+bool ThreadComm::match(const Query& q) {
+  Mailbox& box = world_->mailboxes[static_cast<size_t>(world_rank(rank()))];
   roc::MutexLock lock(box.mutex);
-  for (;;) {
-    auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                           [&](const Envelope& e) {
-                             return detail::matches(e, comm_id_, source, tag);
-                           });
-    if (it != box.queue.end()) {
-      Message m;
-      m.source = it->source;
-      m.tag = it->tag;
-      m.payload = std::move(it->payload);
-      m.ctx = it->ctx;
-#if defined(ROCPIO_CHECK)
-      const uint64_t token = it->check_token;
-      ROC_CHECKHOOK_(packet_recv(token));
-#endif
-      box.queue.erase(it);
-      return m;
-    }
+  while (!settle(box.queue, q)) {
+    if (!q.wait) return false;
     box.cv.wait(box.mutex);
-  }
-}
-
-bool ThreadComm::iprobe(int source, int tag, Status* st) {
-  Mailbox& box =
-      world_->mailboxes[static_cast<size_t>(members_[static_cast<size_t>(rank_)])];
-  roc::MutexLock lock(box.mutex);
-  auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                         [&](const Envelope& e) {
-                           return detail::matches(e, comm_id_, source, tag);
-                         });
-  if (it == box.queue.end()) return false;
-  if (st) {
-    st->source = it->source;
-    st->tag = it->tag;
-    st->bytes = it->payload.size();
   }
   return true;
 }
 
-Status ThreadComm::probe(int source, int tag) {
-  Mailbox& box =
-      world_->mailboxes[static_cast<size_t>(members_[static_cast<size_t>(rank_)])];
-  roc::MutexLock lock(box.mutex);
-  for (;;) {
-    auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                           [&](const Envelope& e) {
-                             return detail::matches(e, comm_id_, source, tag);
-                           });
-    if (it != box.queue.end()) {
-      Status st;
-      st.source = it->source;
-      st.tag = it->tag;
-      st.bytes = it->payload.size();
-      return st;
-    }
-    box.cv.wait(box.mutex);
-  }
+uint64_t ThreadComm::claim_comm_ids(uint64_t count) {
+  return world_->next_comm_id.fetch_add(count);
 }
 
-std::unique_ptr<Comm> ThreadComm::split(int color, int key) {
-  // Collective: everyone contributes (color, key, rank); every member then
-  // derives the same group memberships locally.
-  ByteWriter w;
-  w.put<int32_t>(color);
-  w.put<int32_t>(key);
-  w.put<int32_t>(rank_);
-  auto all = allgather(w.take());
-
-  struct Entry {
-    int color, key, rank;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(all.size());
-  for (const auto& bytes : all) {
-    ByteReader r(bytes.data(), bytes.size());
-    Entry e;
-    e.color = r.get<int32_t>();
-    e.key = r.get<int32_t>();
-    e.rank = r.get<int32_t>();
-    entries.push_back(e);
-  }
-
-  // Deterministic new comm ids: distinct colors get consecutive ids claimed
-  // from the world counter by the overall lowest-ranked member, broadcast
-  // implicitly by recomputing the same ordering everywhere.  To avoid an
-  // extra round-trip we derive ids from a collectively-agreed base: rank 0
-  // of the parent claims a contiguous block and broadcasts the base.
-  std::vector<int> colors;
-  for (const auto& e : entries)
-    if (e.color >= 0) colors.push_back(e.color);
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-
-  std::vector<unsigned char> base_bytes;
-  if (rank_ == 0) {
-    uint64_t base = world_->next_comm_id.fetch_add(colors.size() + 1);
-    ByteWriter bw;
-    bw.put<uint64_t>(base);
-    base_bytes = bw.take();
-  }
-  bcast(base_bytes, 0);
-  ByteReader br(base_bytes.data(), base_bytes.size());
-  const uint64_t base = br.get<uint64_t>();
-
-  if (color < 0) return nullptr;
-
-  // Build my group, ordered by (key, old rank).
-  std::vector<Entry> group;
-  for (const auto& e : entries)
-    if (e.color == color) group.push_back(e);
-  std::stable_sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-    return a.key != b.key ? a.key < b.key : a.rank < b.rank;
-  });
-
-  std::vector<int> members;
-  int my_new_rank = -1;
-  for (const auto& e : group) {
-    if (e.rank == rank_) my_new_rank = static_cast<int>(members.size());
-    // Translate parent rank -> global rank.
-    members.push_back(members_[static_cast<size_t>(e.rank)]);
-  }
-
-  const auto color_index = static_cast<uint64_t>(
-      std::lower_bound(colors.begin(), colors.end(), color) - colors.begin());
-  const uint64_t new_id = base + color_index;
-
+std::unique_ptr<Comm> ThreadComm::make_child(uint64_t comm_id,
+                                             std::vector<int> members,
+                                             int rank) {
   return std::unique_ptr<Comm>(
-      new ThreadComm(world_, new_id, std::move(members), my_new_rank));
+      new ThreadComm(world_, comm_id, std::move(members), rank));
 }
 
 void World::run(int n, const Body& body) {

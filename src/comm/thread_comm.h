@@ -2,10 +2,10 @@
 /// \file thread_comm.h
 /// \brief Thread-backed implementation of the Comm interface ("real mode").
 ///
-/// A World hosts N processes, each a std::thread with a mailbox.  Every
-/// communicator (the world communicator and the products of split()) shares
-/// the mailboxes; envelopes carry a communicator id so that traffic on
-/// different communicators never cross-matches.
+/// A World hosts N processes, each a thread with a mailbox guarded by a
+/// mutex and a condition variable.  The MPI semantics (matching, probes,
+/// split) come from MailboxComm; ThreadComm adds the locked mailbox push
+/// and wait, an atomic communicator-id counter and a pooled sendv.
 ///
 /// Usage:
 ///   roc::comm::World::run(8, [](roc::comm::Comm& comm) { ... });
@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "comm/comm.h"
+#include "comm/mailbox_comm.h"
 
 namespace roc::comm {
 
@@ -22,35 +22,25 @@ namespace detail {
 struct WorldState;
 }  // namespace detail
 
-/// Comm implementation over shared-memory mailboxes.  See file comment.
-class ThreadComm final : public Comm {
+/// MailboxComm over shared-memory mailboxes.  See file comment.
+class ThreadComm final : public MailboxComm {
  public:
-  [[nodiscard]] int rank() const override { return rank_; }
-  [[nodiscard]] int size() const override {
-    return static_cast<int>(members_.size());
-  }
-
-  using Comm::send;
-  void send(int dest, int tag, const void* data, size_t n) override;
-  /// Zero-copy: enqueues a reference to `buf` in the destination mailbox.
-  void send(int dest, int tag, SharedBuffer buf) override;
   /// Gathers through the world's buffer pool so steady-state sends recycle
   /// message storage instead of allocating per send.
   void sendv(int dest, int tag, const BufferChain& chain) override;
-  [[nodiscard]] Message recv(int source, int tag) override;
-  bool iprobe(int source, int tag, Status* st) override;
-  Status probe(int source, int tag) override;
-  [[nodiscard]] std::unique_ptr<Comm> split(int color, int key) override;
 
  private:
   friend class World;
   ThreadComm(std::shared_ptr<detail::WorldState> world, uint64_t comm_id,
              std::vector<int> members, int rank);
 
+  void post(int dest_world, int tag, SharedBuffer payload) override;
+  bool match(const Query& q) override;
+  uint64_t claim_comm_ids(uint64_t count) override;
+  [[nodiscard]] std::unique_ptr<Comm> make_child(
+      uint64_t comm_id, std::vector<int> members, int rank) override;
+
   std::shared_ptr<detail::WorldState> world_;
-  uint64_t comm_id_;
-  std::vector<int> members_;  ///< Global (world) rank of each member.
-  int rank_;                  ///< My rank within this communicator.
 };
 
 /// Launches `n` processes (threads); each runs `body` with its own world

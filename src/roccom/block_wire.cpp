@@ -337,12 +337,14 @@ ROC_COLD void WireBlock::write_to(shdf::Writer& w, const std::string& window,
     case Kind::kMesh:
       write_block(w, window, block_, "mesh", time);
       break;
-    case Kind::kField:
-      w.add_dataset(field_def(window, pane_id_, field_.name,
-                              field_.centering, field_.ncomp,
-                              field_.data.size(), time),
-                    field_.data.data());
+    case Kind::kField: {
+      shdf::DatasetDef def;
+      field_def_into(block_prefix(window, pane_id_), field_.name,
+                     field_.centering, field_.ncomp, field_.data.size(), time,
+                     def);
+      w.add_dataset(def, field_.data.data());
       break;
+    }
   }
 }
 

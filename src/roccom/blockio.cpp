@@ -17,22 +17,23 @@ using shdf::Attribute;
 using shdf::DatasetDef;
 using shdf::DataType;
 
-void write_mesh(shdf::Writer& w, const std::string& window,
-                const MeshBlock& b, double time) {
-  const DatasetDef cdef = coords_def(window, b.id(), b.kind(), b.node_dims(),
-                                     b.node_count(), time);
-  w.add_dataset(cdef, b.coords().data());
+// Both take the block's group prefix (block_prefix) and rebuild `def`.
+void write_mesh(shdf::Writer& w, const std::string& prefix,
+                const MeshBlock& b, double time, DatasetDef& def) {
+  coords_def_into(prefix, b.id(), b.kind(), b.node_dims(), b.node_count(),
+                  time, def);
+  w.add_dataset(def, b.coords().data());
   if (b.kind() == MeshKind::kUnstructured) {
-    w.add_dataset(connectivity_def(window, b.id(), b.element_count()),
-                  b.connectivity().data());
+    connectivity_def_into(prefix, b.element_count(), def);
+    w.add_dataset(def, b.connectivity().data());
   }
 }
 
-void write_field(shdf::Writer& w, const std::string& window,
-                 const MeshBlock& b, const mesh::Field& f, double time) {
-  w.add_dataset(field_def(window, b.id(), f.name, f.centering, f.ncomp,
-                          f.data.size(), time),
-                f.data.data());
+void write_field(shdf::Writer& w, const std::string& prefix,
+                 const mesh::Field& f, double time, DatasetDef& def) {
+  field_def_into(prefix, f.name, f.centering, f.ncomp, f.data.size(), time,
+                 def);
+  w.add_dataset(def, f.data.data());
 }
 
 int64_t int_attr(const shdf::Reader& r, const std::string& dataset,
@@ -147,41 +148,18 @@ void field_def_into(const std::string& prefix, const std::string& field,
   def.attributes[1].value = time;
 }
 
-DatasetDef coords_def(const std::string& window, int pane_id,
-                      MeshKind kind, const std::array<int, 3>& node_dims,
-                      uint64_t node_count, double time) {
-  DatasetDef def;
-  coords_def_into(block_prefix(window, pane_id), pane_id, kind, node_dims,
-                  node_count, time, def);
-  return def;
-}
-
-DatasetDef connectivity_def(const std::string& window, int pane_id,
-                            uint64_t element_count) {
-  DatasetDef def;
-  connectivity_def_into(block_prefix(window, pane_id), element_count, def);
-  return def;
-}
-
-DatasetDef field_def(const std::string& window, int pane_id,
-                     const std::string& field, mesh::Centering centering,
-                     int ncomp, uint64_t value_count, double time) {
-  DatasetDef def;
-  field_def_into(block_prefix(window, pane_id), field, centering, ncomp,
-                 value_count, time, def);
-  return def;
-}
-
 void write_block(shdf::Writer& w, const std::string& window,
                  const MeshBlock& block, const std::string& attribute,
                  double time) {
+  const std::string prefix = block_prefix(window, block.id());
+  DatasetDef def;
   if (attribute == "all") {
-    write_mesh(w, window, block, time);
-    for (const auto& f : block.fields()) write_field(w, window, block, f, time);
+    write_mesh(w, prefix, block, time, def);
+    for (const auto& f : block.fields()) write_field(w, prefix, f, time, def);
   } else if (attribute == "mesh") {
-    write_mesh(w, window, block, time);
+    write_mesh(w, prefix, block, time, def);
   } else {
-    write_field(w, window, block, block.field(attribute), time);
+    write_field(w, prefix, block.field(attribute), time, def);
   }
 }
 

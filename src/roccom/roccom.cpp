@@ -120,13 +120,6 @@ const Window& Roccom::window(const std::string& name) const {
   return *it->second;
 }
 
-std::vector<std::string> Roccom::window_names() const {
-  std::vector<std::string> names;
-  names.reserve(windows_.size());
-  for (const auto& [name, _] : windows_) names.push_back(name);
-  return names;
-}
-
 void Roccom::call_function(const std::string& qualified_name,
                            std::span<const Arg> args) {
   const auto dot = qualified_name.find('.');

@@ -124,8 +124,6 @@ class Roccom {
   [[nodiscard]] Window& window(const std::string& name);
   [[nodiscard]] const Window& window(const std::string& name) const;
 
-  [[nodiscard]] std::vector<std::string> window_names() const;
-
   /// Invokes "<window>.<function>" with `args` (the paper's
   /// COM_call_function).  Throws RegistryError if either part is unknown.
   void call_function(const std::string& qualified_name,

@@ -2,18 +2,18 @@
 /// \file sim_comm.h
 /// \brief Comm implementation over the discrete-event simulator.
 ///
-/// Semantics match ThreadComm exactly (same tests run against both); cost
-/// comes from the platform network model: a transfer occupies the shared
+/// SimComm is a comm::MailboxComm, so its semantics are ThreadComm's (the
+/// comm contract tests run against both).  It adds the transport, whose
+/// cost comes from the platform network model: a transfer occupies the shared
 /// per-node memory channel (intra-node) or both endpoints' NICs
 /// (inter-node) for latency + bytes/bandwidth, with latency inflated by
 /// the job-size interference factor.  The sender is CPU-busy for the
 /// duration (standard-mode blocking send); the receiver gets the message
 /// when the transfer completes.
 
-#include <deque>
 #include <memory>
 
-#include "comm/comm.h"
+#include "comm/mailbox_comm.h"
 #include "sim/simulation.h"
 
 namespace roc::sim {
@@ -41,20 +41,8 @@ class SimWorld {
   // SimComm handles (kept public: the handles live in sim_comm.cpp's
   // anonymous namespace and cannot be befriended by name).
 
-  struct Envelope {
-    uint64_t comm_id;
-    int source;
-    int tag;
-    SharedBuffer payload;  // roc::SharedBuffer; reference-shipped, immutable
-    /// Sender's causal context, delivered in Message::ctx (trace stitching).
-    telemetry::TraceContext ctx;
-#if defined(ROCPIO_CHECK)
-    uint64_t check_token = 0;  ///< Carries the sender's clock (checker HB).
-#endif
-  };
-
   struct Mailbox {
-    std::deque<Envelope> queue;
+    comm::EnvelopeQueue queue;
     std::vector<detail::Process*> waiters;
   };
 
@@ -63,7 +51,7 @@ class SimWorld {
   double transfer_end(int src_world, int dst_world, size_t bytes);
 
   /// Schedules delivery of `e` into `dst`'s mailbox at time `t`.
-  void deliver_at(double t, int dst_world, Envelope e);
+  void deliver_at(double t, int dst_world, comm::Envelope e);
 
   Simulation& sim_;
   int nprocs_;

@@ -4,9 +4,10 @@
 ///
 /// The checker (src/check/) observes the program through a single global
 /// `Hooks` sink.  Sync wrappers (roc::Mutex, roc::CondVar, comm::Gate),
-/// the message layers (ThreadComm / SimComm) and roc::Thread call into it
-/// at every happens-before-relevant event; hot shared structures mark
-/// their accesses with ROC_CHECK_SHARED_READ / ROC_CHECK_SHARED_WRITE.
+/// the message layer (comm::MailboxComm, under ThreadComm and SimComm) and
+/// roc::Thread call into it at every happens-before-relevant event; hot
+/// shared structures mark their accesses with ROC_CHECK_SHARED_READ /
+/// ROC_CHECK_SHARED_WRITE.
 ///
 /// When built with -DROCPIO_CHECK=OFF the macros expand to nothing and this
 /// header contributes zero code to the hot path.  When ON but no checker

@@ -1,6 +1,7 @@
 /// \file comm_test.cpp
-/// \brief Tests for the thread-backed message-passing runtime: p2p
-/// semantics, wildcards, probes, collectives and communicator splitting.
+/// \brief The Comm contract -- p2p semantics, wildcards, probes,
+/// collectives and communicator splitting -- run on both substrates
+/// (ThreadComm and SimComm), plus the thread runtime's World launcher.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include "comm/comm.h"
 #include "comm/env.h"
 #include "comm/thread_comm.h"
+#include "sim/sim_comm.h"
+#include "sim/simulation.h"
 
 namespace roc::comm {
 namespace {
@@ -28,6 +31,38 @@ std::string string_of(const std::vector<unsigned char>& v) {
 std::string string_of(const roc::SharedBuffer& b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
+
+/// The two Comm substrates the contract cases run on.
+enum class Substrate { kThread, kSim };
+
+/// Runs `body` on `n` processes of `substrate`, each with its own world
+/// communicator; returns when every process has returned.
+void run_world(Substrate substrate, int n,
+               const std::function<void(Comm&)>& body) {
+  if (substrate == Substrate::kThread) {
+    World::run(n, body);
+    return;
+  }
+  sim::Simulation sim{sim::Platform{}};
+  auto world = std::make_shared<sim::SimWorld>(sim, n);
+  for (int r = 0; r < n; ++r)
+    sim.add_process([world, &body](sim::ProcContext&) {
+      auto comm = world->attach();
+      body(*comm);
+    });
+  sim.run();
+}
+
+/// Defines one contract case, `void <thread_suite>_<name>(Substrate)`, and
+/// registers it twice: as `thread_suite.name` on ThreadComm and as
+/// `sim_suite.name` on SimComm.
+#define COMM_CONTRACT_TEST(thread_suite, sim_suite, name)             \
+  void thread_suite##_##name(Substrate substrate);                    \
+  TEST(thread_suite, name) {                                          \
+    thread_suite##_##name(Substrate::kThread);                        \
+  }                                                                   \
+  TEST(sim_suite, name) { thread_suite##_##name(Substrate::kSim); }   \
+  void thread_suite##_##name(Substrate substrate)
 
 TEST(World, RunsEveryRankExactlyOnce) {
   std::atomic<int> count{0};
@@ -68,8 +103,8 @@ TEST(World, PropagatesFirstException) {
                IoError);
 }
 
-TEST(ThreadComm, PingPong) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, PingPong) {
+  run_world(substrate, 2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 7, bytes_of("ping"));
       auto m = comm.recv(1, 8);
@@ -84,8 +119,8 @@ TEST(ThreadComm, PingPong) {
   });
 }
 
-TEST(ThreadComm, NonOvertakingSameSourceAndTag) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, NonOvertakingSameSourceAndTag) {
+  run_world(substrate, 2, [](Comm& comm) {
     constexpr int kN = 100;
     if (comm.rank() == 0) {
       for (int i = 0; i < kN; ++i)
@@ -101,8 +136,8 @@ TEST(ThreadComm, NonOvertakingSameSourceAndTag) {
   });
 }
 
-TEST(ThreadComm, TagSelectivity) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, TagSelectivity) {
+  run_world(substrate, 2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 1, bytes_of("one"));
       comm.send(1, 2, bytes_of("two"));
@@ -116,8 +151,8 @@ TEST(ThreadComm, TagSelectivity) {
   });
 }
 
-TEST(ThreadComm, AnySourceAnyTag) {
-  World::run(4, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, AnySourceAnyTag) {
+  run_world(substrate, 4, [](Comm& comm) {
     if (comm.rank() == 0) {
       int seen = 0;
       for (int i = 0; i < 3; ++i) {
@@ -133,8 +168,8 @@ TEST(ThreadComm, AnySourceAnyTag) {
   });
 }
 
-TEST(ThreadComm, ProbeDescribesWithoutConsuming) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, ProbeDescribesWithoutConsuming) {
+  run_world(substrate, 2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 5, bytes_of("payload!"));
     } else {
@@ -152,15 +187,15 @@ TEST(ThreadComm, ProbeDescribesWithoutConsuming) {
   });
 }
 
-TEST(ThreadComm, IprobeReturnsFalseWhenEmpty) {
-  World::run(1, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, IprobeReturnsFalseWhenEmpty) {
+  run_world(substrate, 1, [](Comm& comm) {
     Status st;
     EXPECT_FALSE(comm.iprobe(kAnySource, kAnyTag, &st));
   });
 }
 
-TEST(ThreadComm, EmptyMessageSignal) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, EmptyMessageSignal) {
+  run_world(substrate, 2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.signal(1, 9);
     } else {
@@ -170,11 +205,11 @@ TEST(ThreadComm, EmptyMessageSignal) {
   });
 }
 
-TEST(ThreadComm, SharedBufferSendEnqueuesReference) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, SharedBufferSendEnqueuesReference) {
   // The zero-copy contract: sending a SharedBuffer ships a reference, so
   // the receiver observes the SAME storage, not a copy.
   std::atomic<const unsigned char*> sent{nullptr};
-  World::run(2, [&](Comm& comm) {
+  run_world(substrate, 2, [&](Comm& comm) {
     if (comm.rank() == 0) {
       SharedBuffer buf = SharedBuffer::adopt({'z', 'c', 'p'});
       sent.store(buf.data());
@@ -188,8 +223,8 @@ TEST(ThreadComm, SharedBufferSendEnqueuesReference) {
   });
 }
 
-TEST(ThreadComm, SendvDeliversGatheredChain) {
-  World::run(2, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, SendvDeliversGatheredChain) {
+  run_world(substrate, 2, [](Comm& comm) {
     if (comm.rank() == 0) {
       const std::vector<unsigned char> borrowed = {'l', 'l'};
       BufferChain chain;
@@ -205,26 +240,38 @@ TEST(ThreadComm, SendvDeliversGatheredChain) {
   });
 }
 
-TEST(ThreadComm, SendToInvalidRankThrows) {
-  World::run(1, [](Comm& comm) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, SendToInvalidRankThrows) {
+  run_world(substrate, 1, [](Comm& comm) {
     EXPECT_THROW(comm.send(5, 0, nullptr, 0), InvalidArgument);
     EXPECT_THROW(comm.send(-1, 0, nullptr, 0), InvalidArgument);
   });
 }
 
-TEST(Collectives, Barrier) {
+COMM_CONTRACT_TEST(ThreadComm, SimComm, ProbesOfInvalidSourceThrow) {
+  run_world(substrate, 2, [](Comm& comm) {
+    Status st;
+    // ASSERT first: a probe that skips the check waits forever on a rank
+    // that cannot send.
+    ASSERT_THROW((void)comm.iprobe(comm.size(), 0, &st), InvalidArgument);
+    ASSERT_THROW((void)comm.iprobe(-2, kAnyTag, &st), InvalidArgument);
+    ASSERT_THROW((void)comm.probe(comm.size(), 0), InvalidArgument);
+    EXPECT_THROW((void)comm.recv(-2, 0), InvalidArgument);
+  });
+}
+
+COMM_CONTRACT_TEST(Collectives, SimCollectives, Barrier) {
   // All ranks increment before the barrier; after it everyone sees the full
   // count.
   std::atomic<int> before{0};
-  World::run(6, [&](Comm& comm) {
+  run_world(substrate, 6, [&](Comm& comm) {
     ++before;
     comm.barrier();
     EXPECT_EQ(before.load(), 6);
   });
 }
 
-TEST(Collectives, Bcast) {
-  World::run(5, [](Comm& comm) {
+COMM_CONTRACT_TEST(Collectives, SimCollectives, Bcast) {
+  run_world(substrate, 5, [](Comm& comm) {
     std::vector<unsigned char> data;
     if (comm.rank() == 2) data = bytes_of("from two");
     comm.bcast(data, 2);
@@ -232,8 +279,8 @@ TEST(Collectives, Bcast) {
   });
 }
 
-TEST(Collectives, GatherIndexedByRank) {
-  World::run(4, [](Comm& comm) {
+COMM_CONTRACT_TEST(Collectives, SimCollectives, GatherIndexedByRank) {
+  run_world(substrate, 4, [](Comm& comm) {
     auto mine = bytes_of(std::string(1, static_cast<char>('a' + comm.rank())));
     auto all = comm.gather(mine, 0);
     if (comm.rank() == 0) {
@@ -247,8 +294,8 @@ TEST(Collectives, GatherIndexedByRank) {
   });
 }
 
-TEST(Collectives, AllgatherVariableSizes) {
-  World::run(4, [](Comm& comm) {
+COMM_CONTRACT_TEST(Collectives, SimCollectives, AllgatherVariableSizes) {
+  run_world(substrate, 4, [](Comm& comm) {
     // Rank r contributes r bytes (rank 0 contributes an empty payload).
     std::vector<unsigned char> mine(static_cast<size_t>(comm.rank()),
                                     static_cast<unsigned char>(comm.rank()));
@@ -262,8 +309,8 @@ TEST(Collectives, AllgatherVariableSizes) {
   });
 }
 
-TEST(Collectives, TypedReductions) {
-  World::run(5, [](Comm& comm) {
+COMM_CONTRACT_TEST(Collectives, SimCollectives, TypedReductions) {
+  run_world(substrate, 5, [](Comm& comm) {
     const double r = comm.rank();
     EXPECT_DOUBLE_EQ(allreduce(comm, r, std::plus<>()), 0 + 1 + 2 + 3 + 4);
     EXPECT_DOUBLE_EQ(allreduce_max(comm, r), 4);
@@ -274,9 +321,10 @@ TEST(Collectives, TypedReductions) {
   });
 }
 
-TEST(Collectives, BcastAndGatherLargePayloadsAllRoots) {
+COMM_CONTRACT_TEST(Collectives, SimCollectives,
+                   BcastAndGatherLargePayloadsAllRoots) {
   // Binomial-tree paths exercised from every root with multi-KB payloads.
-  World::run(5, [](Comm& comm) {
+  run_world(substrate, 5, [](Comm& comm) {
     for (int root = 0; root < 5; ++root) {
       std::vector<unsigned char> data;
       if (comm.rank() == root)
@@ -301,8 +349,8 @@ TEST(Collectives, BcastAndGatherLargePayloadsAllRoots) {
   });
 }
 
-TEST(Split, GroupsByColorOrderedByKey) {
-  World::run(6, [](Comm& comm) {
+COMM_CONTRACT_TEST(Split, SimSplit, GroupsByColorOrderedByKey) {
+  run_world(substrate, 6, [](Comm& comm) {
     // Evens and odds; key reverses the order within each group.
     const int color = comm.rank() % 2;
     auto sub = comm.split(color, -comm.rank());
@@ -327,8 +375,8 @@ TEST(Split, GroupsByColorOrderedByKey) {
   });
 }
 
-TEST(Split, NegativeColorYieldsNull) {
-  World::run(4, [](Comm& comm) {
+COMM_CONTRACT_TEST(Split, SimSplit, NegativeColorYieldsNull) {
+  run_world(substrate, 4, [](Comm& comm) {
     auto sub = comm.split(comm.rank() == 0 ? -1 : 0, comm.rank());
     if (comm.rank() == 0) {
       EXPECT_EQ(sub, nullptr);
@@ -340,8 +388,8 @@ TEST(Split, NegativeColorYieldsNull) {
   });
 }
 
-TEST(Split, ParentAndChildTrafficDoNotCross) {
-  World::run(4, [](Comm& comm) {
+COMM_CONTRACT_TEST(Split, SimSplit, ParentAndChildTrafficDoNotCross) {
+  run_world(substrate, 4, [](Comm& comm) {
     auto sub = comm.split(comm.rank() / 2, comm.rank());
     // Same-tag messages on parent and child must not cross-match.
     if (comm.rank() == 0) {
@@ -357,8 +405,8 @@ TEST(Split, ParentAndChildTrafficDoNotCross) {
   });
 }
 
-TEST(Split, SplitOfSplit) {
-  World::run(8, [](Comm& comm) {
+COMM_CONTRACT_TEST(Split, SimSplit, SplitOfSplit) {
+  run_world(substrate, 8, [](Comm& comm) {
     auto half = comm.split(comm.rank() / 4, comm.rank());  // two groups of 4
     ASSERT_NE(half, nullptr);
     auto quarter = half->split(half->rank() / 2, half->rank());

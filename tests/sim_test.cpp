@@ -152,51 +152,7 @@ TEST(Simulation, DeterministicAcrossRuns) {
   EXPECT_GT(a, 0.0);
 }
 
-// --- SimComm semantics (mirrors the ThreadComm contract) ---------------------
-
-TEST(SimComm, PingPongAndNonOvertaking) {
-  Simulation sim(quiet_platform());
-  auto world = std::make_shared<SimWorld>(sim, 2);
-  for (int r = 0; r < 2; ++r) {
-    sim.add_process([world](ProcContext&) {
-      auto comm = world->attach();
-      if (comm->rank() == 0) {
-        for (int i = 0; i < 20; ++i) comm->send(1, 3, &i, sizeof(i));
-      } else {
-        for (int i = 0; i < 20; ++i) {
-          auto m = comm->recv(0, 3);
-          int v;
-          std::memcpy(&v, m.payload.data(), sizeof(v));
-          EXPECT_EQ(v, i);
-        }
-      }
-    });
-  }
-  sim.run();
-}
-
-TEST(SimComm, SharedBufferSendEnqueuesReference) {
-  // Zero-copy under the simulator too: the receiver sees the sender's
-  // storage, while the modeled transfer still charges the full byte count.
-  Simulation sim(quiet_platform());
-  auto world = std::make_shared<SimWorld>(sim, 2);
-  std::atomic<const unsigned char*> sent{nullptr};
-  for (int r = 0; r < 2; ++r) {
-    sim.add_process([world, &sent](ProcContext&) {
-      auto comm = world->attach();
-      if (comm->rank() == 0) {
-        SharedBuffer buf = SharedBuffer::adopt({9, 8, 7});
-        sent.store(buf.data());
-        comm->send(1, 2, buf);
-      } else {
-        auto m = comm->recv(0, 2);
-        EXPECT_EQ(m.payload.size(), 3u);
-        EXPECT_EQ(m.payload.data(), sent.load());
-      }
-    });
-  }
-  sim.run();
-}
+// --- SimComm cost model (comm_test.cpp runs the Comm contract on SimComm) ---
 
 TEST(SimComm, TransfersTakeTimeAndSerializeOnSharedLinks) {
   Platform p = quiet_platform(1);  // every rank on its own node
@@ -249,23 +205,6 @@ TEST(SimComm, IntraNodeCheaperThanInterNode) {
     return done;
   };
   EXPECT_LT(elapsed_for(1), elapsed_for(2) / 2);
-}
-
-TEST(SimComm, CollectivesAndSplitWork) {
-  Simulation sim(quiet_platform(4));
-  auto world = std::make_shared<SimWorld>(sim, 6);
-  for (int r = 0; r < 6; ++r) {
-    sim.add_process([world](ProcContext&) {
-      auto comm = world->attach();
-      EXPECT_EQ(comm::allreduce(*comm, comm->rank(), std::plus<>()), 15);
-      auto sub = comm->split(comm->rank() % 2, comm->rank());
-      ASSERT_NE(sub, nullptr);
-      EXPECT_EQ(sub->size(), 3);
-      EXPECT_EQ(comm::allreduce(*sub, 1, std::plus<>()), 3);
-      comm->barrier();
-    });
-  }
-  sim.run();
 }
 
 // --- SimEnv -------------------------------------------------------------------
