@@ -107,6 +107,7 @@ Result run(const rocpanda::ServerOptions& server_opts) {
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
   bench::TraceSession trace(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Ablation A1: active buffering in Rocpanda (Table-1 workload, "
               "%d clients + %d servers, 100 steps, 3 snapshots).\n\n",
               kClients, kServers);

@@ -104,6 +104,7 @@ Result run(const rocpanda::ClientOptions& client_opts) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Ablation A5: client-side buffering in the active-buffering "
               "hierarchy (Table-1 workload, %d clients + %d servers, "
               "simulated Turing).\n\n", kClients, kServers);

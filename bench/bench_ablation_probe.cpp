@@ -101,6 +101,7 @@ double run(bool blocking_probe, int compute_procs) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Ablation A4: server probe strategy (Fig 3(b) '15S' "
               "configuration, %d steps x %.1f s work).\n\n", kSteps,
               kWorkPerStep);

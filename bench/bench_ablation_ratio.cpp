@@ -100,6 +100,7 @@ Result run(int nservers) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Ablation A2: client:server ratio sweep (Table-1 workload, "
               "%d clients, simulated Turing).\n\n", kClients);
   std::printf("%8s %10s | %14s %14s %8s\n", "ratio", "servers",

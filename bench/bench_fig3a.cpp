@@ -151,9 +151,8 @@ int main(int argc, char** argv) {
   bench::TraceSession trace(&argc, argv);
   // --smoke: the CI configuration -- a short series that still exercises
   // both services and the intra-node rise, done in seconds.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--smoke") smoke = true;
+  const bool smoke = bench::take_switch(&argc, argv, "--smoke");
+  bench::reject_other_args(argc, argv);
   std::printf("Figure 3(a) reproduction: apparent aggregate write "
               "throughput on the simulated ASCI Frost (MB/s).\n");
   std::printf("Fixed %.0f MB per compute processor; Rocpanda: 15 compute + "

@@ -158,6 +158,7 @@ double run_config(Config config, int compute_procs) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Figure 3(b) reproduction: computation time (s) for fixed "
               "work per processor (%d steps x %.1f s) on the simulated "
               "Frost.\n\n", kSteps, kWorkPerStep);

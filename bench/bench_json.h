@@ -12,13 +12,75 @@
 /// The schema is documented in EXPERIMENTS.md ("Benchmark JSON output").
 /// Human-readable stdout output is unchanged; the JSON file is the stable
 /// interface for plotting and regression scripts.
+///
+/// Command lines: each flag is taken out of argv by its owner (JsonEmitter
+/// takes `--json`, TraceSession `--trace`, the harness its own switches),
+/// then reject_other_args() refuses whatever is left.  Every refusal, and
+/// a flag missing its value, prints the flags taken so far and exits 2.
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace bench {
+
+namespace detail {
+/// Synopsis of every flag taken so far ("[--json <path>] [--smoke]").
+inline std::string& usage_synopsis() {
+  static std::string synopsis;
+  return synopsis;
+}
+
+inline void remove_args(int* argc, char** argv, int at, int n) {
+  for (int j = at; j + n < *argc; ++j) argv[j] = argv[j + n];
+  *argc -= n;
+}
+}  // namespace detail
+
+/// Prints `why` and the usage line, then exits with status 2.
+[[noreturn]] inline void usage_error(const char* prog, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\nusage: %s%s\n", prog, why.c_str(), prog,
+               detail::usage_synopsis().c_str());
+  std::exit(2);
+}
+
+/// Takes `flag <value>` out of argv and returns the value; "" when the flag
+/// is absent.  A flag with no value, or with a value starting with "--",
+/// is a usage error.
+inline std::string take_flag_value(int* argc, char** argv, const char* flag) {
+  detail::usage_synopsis() += std::string(" [") + flag + " <path>]";
+  for (int i = 1; i < *argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 >= *argc || std::strncmp(argv[i + 1], "--", 2) == 0)
+      usage_error(argv[0], std::string(flag) + " needs a value");
+    std::string value = argv[i + 1];
+    detail::remove_args(argc, argv, i, 2);
+    return value;
+  }
+  return {};
+}
+
+/// Takes switch `flag` out of argv; returns whether it was given.
+inline bool take_switch(int* argc, char** argv, const char* flag) {
+  detail::usage_synopsis() += std::string(" [") + flag + "]";
+  for (int i = 1; i < *argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    detail::remove_args(argc, argv, i, 1);
+    return true;
+  }
+  return false;
+}
+
+/// Exits 2 with the usage line if argv holds anything besides the program
+/// name.  Call once every owner has taken its flags.
+inline void reject_other_args(int argc, char** argv) {
+  if (argc > 1)
+    usage_error(argv[0], std::string("unrecognised argument '") + argv[1] +
+                             "'");
+}
 
 /// One `"key": value` entry of a record's params object.
 struct Param {
@@ -49,20 +111,12 @@ inline Param param(std::string key, const char* v) {
 }
 
 /// Collects records and writes them as one JSON array on destruction.
-/// Constructed from argc/argv: consumes `--json <path>` (removing it from
-/// argv so later argv consumers never see it); without the flag every call
-/// is a no-op.
+/// Constructed from argc/argv: takes `--json <path>` out of argv (so later
+/// argv consumers never see it); without the flag every call is a no-op.
 class JsonEmitter {
  public:
-  JsonEmitter(int* argc, char** argv) {
-    for (int i = 1; i < *argc; ++i) {
-      if (std::string(argv[i]) != "--json" || i + 1 >= *argc) continue;
-      path_ = argv[i + 1];
-      for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
-      *argc -= 2;
-      break;
-    }
-  }
+  JsonEmitter(int* argc, char** argv)
+      : path_(take_flag_value(argc, argv, "--json")) {}
 
   JsonEmitter(const JsonEmitter&) = delete;
   JsonEmitter& operator=(const JsonEmitter&) = delete;

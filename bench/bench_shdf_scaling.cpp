@@ -64,6 +64,7 @@ Times run(shdf::DirectoryKind kind, int datasets) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   std::printf("Ablation A3: SHDF directory engines vs dataset count "
               "(real wall time, in-memory files).\n\n");
   std::printf("%10s | %12s %12s %12s | %12s %12s %12s\n", "datasets",

@@ -223,6 +223,7 @@ double run_restart_phase(int nclients, Mode mode, vfs::MemFileSystem store) {
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json(&argc, argv);
+  bench::reject_other_args(argc, argv);
   const std::vector<int> procs = {16, 32, 64};
 
   std::printf("Table 1 reproduction: computation and I/O times on the "

@@ -34,19 +34,13 @@
 
 namespace bench {
 
-/// Consumes `--trace <path>` from argc/argv (like JsonEmitter's `--json`).
+/// Takes `--trace <path>` out of argc/argv (like JsonEmitter's `--json`).
 /// Construct before the first measured run; destroy (scope exit) to write
 /// the file.
 class TraceSession {
  public:
-  TraceSession(int* argc, char** argv) {
-    for (int i = 1; i < *argc; ++i) {
-      if (std::string(argv[i]) != "--trace" || i + 1 >= *argc) continue;
-      path_ = argv[i + 1];
-      for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
-      *argc -= 2;
-      break;
-    }
+  TraceSession(int* argc, char** argv)
+      : path_(take_flag_value(argc, argv, "--trace")) {
     if (enabled()) {
       // Recording also arms the flight recorder: crashes, stalls and
       // require failures dump the last events of every thread next to the

@@ -163,18 +163,34 @@ void write_block(shdf::Writer& w, const std::string& window,
   }
 }
 
-shdf::Writer open_snapshot_file(vfs::FileSystem& fs, const std::string& path,
-                                bool first) {
+shdf::Writer& SnapshotFiles::open(const std::string& path) {
+  if (writer_ && path_ == path) return *writer_;
+  close();
   // The substrate picks the directory engine.  The simulator reproduces
   // the paper's HDF4 platform, whose per-dataset directory writes Table 1
   // and Fig. 3 are calibrated against; everywhere else put_dataset appends
   // only the dataset and the directory is written once, at close(), which
   // is the services' snapshot boundary.  An append keeps the file's kind.
-  if (!first) return shdf::Writer::append(fs, path);
-  return shdf::Writer(fs, path,
-                      fs.models_paper_platform()
-                          ? shdf::DirectoryKind::kLinear
-                          : shdf::DirectoryKind::kIndexed);
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file, not
+  // per block (file-tracking bookkeeping and Writer construction).
+  const bool first = started_.insert(path).second;
+  if (first) ++created_;
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
+  writer_ = std::make_unique<shdf::Writer>(
+      first ? shdf::Writer(fs_, path,
+                           fs_.models_paper_platform()
+                               ? shdf::DirectoryKind::kLinear
+                               : shdf::DirectoryKind::kIndexed)
+            : shdf::Writer::append(fs_, path));
+  path_ = path;
+  return *writer_;
+}
+
+void SnapshotFiles::close() {
+  if (!writer_) return;
+  const std::unique_ptr<shdf::Writer> w = std::move(writer_);
+  path_.clear();
+  w->close();
 }
 
 std::vector<std::string> snapshot_files(vfs::FileSystem& fs,

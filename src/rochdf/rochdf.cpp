@@ -6,8 +6,6 @@
 #include "roccom/block_wire.h"
 #include "shdf/reader.h"
 #include "telemetry/trace.h"
-#include "util/check_hooks.h"
-#include "util/log.h"
 
 namespace roc::rochdf {
 
@@ -17,26 +15,14 @@ using roccom::Roccom;
 
 Rochdf::Rochdf(comm::Comm& comm, comm::Env& env, vfs::FileSystem& fs,
                Options options)
-    : comm_(comm),
-      env_(env),
-      fs_(fs),
-      options_(std::move(options)),
-      gate_storage_(env.make_gate()),
-      gate_(gate_storage_.get()) {
-  gate_->set_name("rochdf-gate");
+    : comm_(comm), fs_(fs), options_(std::move(options)), files_(fs) {
   if (options_.threaded)
-    worker_ = env_.spawn_worker([this] { worker_loop(); });
-}
-
-Rochdf::~Rochdf() {
-  if (worker_) {
-    gate_->lock();
-    ROC_CHECK_SHARED_WRITE(&stop_, "rochdf.stop");
-    stop_ = true;
-    gate_->notify_all();
-    gate_->unlock();
-    worker_->join();
-  }
+    behind_ = std::make_unique<roccom::WriteBehind>(
+        env, "rochdf", "t-rochdf writer",
+        [this](const roccom::WriteBehind::Job& job) { write_job(job); },
+        // Queue drained: commit the file so sync() and the next
+        // snapshot's wait can complete.
+        [this] { files_.close(); });
 }
 
 std::string Rochdf::proc_file(const std::string& prefix,
@@ -46,92 +32,21 @@ std::string Rochdf::proc_file(const std::string& prefix,
   return prefix + base + buf;
 }
 
-shdf::Writer Rochdf::open_writer(const std::string& path) {
-  // First touch of a file in this run truncates; later requests for the
-  // same snapshot append.
-  bool first;
-  {
-    comm::GateLock lock(*gate_);
-    ROC_CHECK_SHARED_WRITE(&started_files_, "rochdf.started_files");
-    first = started_files_.insert(path).second;
-  }
-  if (first) ++files_written_;
-  return roccom::open_snapshot_file(fs_, path, first);
-}
-
-void Rochdf::write_now(const std::string& path, const std::string& window,
-                       const std::string& attribute, double time,
-                       const std::vector<const Pane*>& panes) {
-  shdf::Writer w = open_writer(path);
-  for (const Pane* p : panes) {
-    roccom::write_block(w, window, *p->block, attribute, time);
-    ++blocks_written_;
-  }
-  w.close();
-}
-
-void Rochdf::write_job(const Job& job) {
+void Rochdf::write_job(const roccom::WriteBehind::Job& job) {
   // The background half of T-Rochdf: everything here is I/O cost the
   // application thread never sees (unless it collides with the
   // one-snapshot-in-flight wait).  Re-adopting the job's context makes
   // this span a child of the perceived write that buffered it.
   telemetry::ScopedTraceContext adopt(job.ctx);
-  ROC_TRACE_SPAN_D("rochdf", "snapshot.background", job.base);
-  if (writer_ && open_path_ != job.file) {
-    writer_->close();
-    writer_.reset();
-  }
-  if (!writer_) {
-    writer_ = std::make_unique<shdf::Writer>(open_writer(job.file));
-    open_path_ = job.file;
-    comm::GateLock lock(*gate_);
-    ROC_CHECK_SHARED_WRITE(&open_file_, "rochdf.open_file");
-    open_file_ = job.file;
-  }
+  ROC_TRACE_SPAN_D("rochdf", "snapshot.background", job.req.file);
+  shdf::Writer& w = files_.open(
+      proc_file(options_.file_prefix, job.req.file, comm_.rank()));
   for (const auto& b : job.blocks) {
     // Pass-through: dataset payloads stream straight from the buffered
     // wire bytes; no MeshBlock is reconstructed.
-    roccom::WireBlockView::parse(b).write_to(*writer_, job.window, job.time);
+    roccom::WireBlockView::parse(b).write_to(w, job.req.window, job.req.time);
     ++blocks_written_;
   }
-}
-
-void Rochdf::worker_loop() {
-  telemetry::set_thread_name("t-rochdf writer");
-  gate_->lock();
-  for (;;) {
-    ROC_CHECK_SHARED_READ(&queue_, "rochdf.queue");
-    if (!queue_.empty()) {
-      ROC_CHECK_SHARED_WRITE(&queue_, "rochdf.queue");
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      gate_->unlock();
-      write_job(job);
-      gate_->lock();
-      ROC_CHECK_SHARED_WRITE(&pending_, "rochdf.pending");
-      auto it = pending_.find(job.file);
-      if (--it->second == 0) pending_.erase(it);
-      gate_->notify_all();
-      continue;
-    }
-    if (writer_) {
-      // Queue drained: finalize the open file so sync()/snapshot waits can
-      // complete.
-      gate_->unlock();
-      writer_->close();
-      writer_.reset();
-      open_path_.clear();
-      gate_->lock();
-      ROC_CHECK_SHARED_WRITE(&open_file_, "rochdf.open_file");
-      open_file_.clear();
-      gate_->notify_all();
-      continue;
-    }
-    ROC_CHECK_SHARED_READ(&stop_, "rochdf.stop");
-    if (stop_) break;
-    gate_->wait();
-  }
-  gate_->unlock();
 }
 
 void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
@@ -139,84 +54,43 @@ void Rochdf::write_attribute(Roccom& com, const IoRequest& req) {
   // the actual disk write, for T-Rochdf the marshal plus any
   // block-on-previous-snapshot wait (timeline.h separates the two).
   ROC_TRACE_SPAN_D("rochdf", "snapshot.perceived", req.file);
-  const roccom::Window& w = com.window(req.window);
-  const auto& panes = w.panes();
-  const std::string path =
-      proc_file(options_.file_prefix, req.file, comm_.rank());
+  const auto& panes = com.window(req.window).panes();
 
   ++write_calls_;
 
-  if (!options_.threaded) {
+  if (!behind_) {
     // Synchronous write on the caller's thread: background-tagged so the
     // timeline still attributes raw vfs cost to the snapshot, but fully
     // inside the perceived span — nothing is hidden.
     ROC_TRACE_SPAN_D("rochdf", "snapshot.background", req.file);
-    write_now(path, req.window, req.attribute, req.time, panes);
+    shdf::Writer& w =
+        files_.open(proc_file(options_.file_prefix, req.file, comm_.rank()));
+    for (const Pane* p : panes) {
+      roccom::write_block(w, req.window, *p->block, req.attribute, req.time);
+      ++blocks_written_;
+    }
+    files_.close();
     return;
   }
 
-  // T-Rochdf: at most one snapshot in flight (paper §6.2).
-  bool waited = false;
-  {
-    comm::GateLock lock(*gate_);
-    ROC_CHECK_SHARED_READ(&current_snapshot_, "rochdf.current_snapshot");
-    if (current_snapshot_ != req.file && !current_snapshot_.empty()) {
-      const std::string prev =
-          proc_file(options_.file_prefix, current_snapshot_, comm_.rank());
-      {
-        ROC_TRACE_SPAN_D("rochdf", "snapshot.wait_previous", req.file);
-        ROC_CHECK_SHARED_READ(&pending_, "rochdf.pending");
-        ROC_CHECK_SHARED_READ(&open_file_, "rochdf.open_file");
-        while (pending_.count(prev) > 0 || open_file_ == prev) {
-          waited = true;
-          gate_->wait();
-        }
-      }
-    }
-    ROC_CHECK_SHARED_WRITE(&current_snapshot_, "rochdf.current_snapshot");
-    current_snapshot_ = req.file;
+  // T-Rochdf: at most one snapshot in flight (paper §6.2).  Every queued
+  // job belongs to current_snapshot_, so a new basename waits until the
+  // worker has written and closed all of them.
+  if (current_snapshot_ != req.file && !current_snapshot_.empty()) {
+    ROC_TRACE_SPAN_D("rochdf", "snapshot.wait_previous", req.file);
+    if (behind_->drain()) ++snapshot_waits_;
   }
-  if (waited) ++snapshot_waits_;  // atomic: counted off the gate
+  current_snapshot_ = req.file;
 
   // Buffer: marshal each pane into a pooled wire-format buffer (the one
   // copy) so the caller can reuse its blocks immediately.
-  Job job;
-  job.file = path;
-  job.base = req.file;
-  job.window = req.window;
-  job.time = req.time;
-  job.ctx = telemetry::current_trace_context();
-  job.blocks.reserve(panes.size());
-  uint64_t bytes = 0;
-  {
-    ROC_TRACE_SPAN("rochdf", "marshal");
-    for (const Pane* p : panes) {
-      SharedBuffer wire = pool_.gather(
-          roccom::WireBlock::serialize_chain(*p->block, req.attribute));
-      bytes += wire.size();
-      job.blocks.push_back(std::move(wire));
-    }
-    env_.charge_local_copy(bytes);
-  }
-
-  bytes_buffered_ += bytes;
-  comm::GateLock lock(*gate_);
-  ROC_CHECK_SHARED_WRITE(&queue_, "rochdf.queue");
-  queue_.push_back(std::move(job));
-  ROC_CHECK_SHARED_WRITE(&pending_, "rochdf.pending");
-  ++pending_[path];
-  gate_->notify_all();
+  bytes_buffered_ += behind_->post(req, panes).bytes;
 }
 
 void Rochdf::sync() {
-  if (!options_.threaded) return;
+  if (!behind_) return;
   ROC_TRACE_SPAN("rochdf", "sync");
-  comm::GateLock lock(*gate_);
-  ROC_CHECK_SHARED_READ(&queue_, "rochdf.queue");
-  ROC_CHECK_SHARED_READ(&pending_, "rochdf.pending");
-  ROC_CHECK_SHARED_READ(&open_file_, "rochdf.open_file");
-  while (!queue_.empty() || !pending_.empty() || !open_file_.empty())
-    gate_->wait();
+  behind_->drain();
 }
 
 void Rochdf::read_attribute(Roccom& com, const IoRequest& req) {
@@ -265,7 +139,7 @@ Stats Rochdf::stats() const {
   Stats s;
   s.blocks_written = blocks_written_;
   s.bytes_buffered = bytes_buffered_;
-  s.files_written = files_written_;
+  s.files_written = files_.files_created();
   s.snapshot_waits = snapshot_waits_;
   s.write_calls = write_calls_;
   return s;

@@ -8,29 +8,27 @@
 /// I/O.  In threaded mode (T-Rochdf) write_attribute marshals the blocks
 /// into pooled wire-format buffers (one copy, recycled storage) and
 /// returns immediately; one persistent background worker per process
-/// streams those buffers into the file through the pass-through view (no
-/// MeshBlock reconstruction).  Semantics (paper §6.2, tested in
-/// tests/rochdf_test.cpp):
+/// (roccom::WriteBehind) streams those buffers into the file through the
+/// pass-through view (no MeshBlock reconstruction).  Semantics (paper
+/// §6.2, tested in tests/rochdf_test.cpp):
 ///
 ///  * buffer-reuse safety: callers may mutate their blocks as soon as
 ///    write_attribute returns;
 ///  * at most one snapshot in flight: buffering data for snapshot k+1
 ///    blocks until the worker finished writing snapshot k (a snapshot is
 ///    the set of write requests sharing one file basename);
-///  * sync() blocks until every buffered write reached the file system.
+///  * sync() blocks until every buffered write reached the file system;
+///  * a background write that fails is rethrown by the next sync() or
+///    write_attribute(), and by every one after it.
 
 #include <atomic>
-#include <deque>
-#include <map>
-#include <set>
-
-#include "util/thread_annotations.h"
+#include <memory>
 
 #include "comm/comm.h"
 #include "comm/env.h"
 #include "roccom/blockio.h"
 #include "roccom/io_service.h"
-#include "shdf/writer.h"
+#include "roccom/write_behind.h"
 #include "vfs/vfs.h"
 
 namespace roc::rochdf {
@@ -58,7 +56,6 @@ class Rochdf final : public roccom::IoService {
   /// for the process rank (file naming); Rochdf never communicates.
   Rochdf(comm::Comm& comm, comm::Env& env, vfs::FileSystem& fs,
          Options options);
-  ~Rochdf() override;
 
   Rochdf(const Rochdf&) = delete;
   Rochdf& operator=(const Rochdf&) = delete;
@@ -84,69 +81,27 @@ class Rochdf final : public roccom::IoService {
                                              int rank);
 
  private:
-  /// One buffered write request (threaded mode).  Blocks are pooled
-  /// wire-format snapshots of the panes (WireBlock bytes), written via the
-  /// pass-through view instead of reconstructed MeshBlocks.
-  struct Job {
-    std::string file;  ///< Full path of the per-process file.
-    std::string base;  ///< Snapshot base name (trace span detail).
-    std::string window;
-    double time = 0;
-    std::vector<SharedBuffer> blocks;  ///< Marshalled pane snapshots.
-    /// Requesting thread's causal context: the worker re-adopts it so the
-    /// background write stitches to the perceived write span.
-    telemetry::TraceContext ctx;
-  };
-
-  /// Opens a per-process file for writing, counting first touches.
-  shdf::Writer open_writer(const std::string& path) ROC_EXCLUDES(gate_);
-  /// Synchronous write of one request into the per-process file
-  /// (append-creates the file; used directly in non-threaded mode and by
-  /// the worker in threaded mode).
-  void write_now(const std::string& path, const std::string& window,
-                 const std::string& attribute, double time,
-                 const std::vector<const roccom::Pane*>& panes)
-      ROC_EXCLUDES(gate_);
-  void write_job(const Job& job) ROC_EXCLUDES(gate_);
-
-  void worker_loop() ROC_EXCLUDES(gate_);
+  /// T-Rochdf's background half: one buffered request into its file.
+  void write_job(const roccom::WriteBehind::Job& job);
 
   comm::Comm& comm_;
-  comm::Env& env_;
   vfs::FileSystem& fs_;
   Options options_;
 
-  /// Recycles snapshot buffers across write calls (threaded mode).
-  /// Internally synchronized: the worker returns buffers from its thread.
-  BufferPool pool_;
-
   // Counters behind stats(): atomic because the worker increments them
-  // off the gate while stats() may run on another thread.
+  // while stats() may run on another thread.
   std::atomic<uint64_t> write_calls_{0};
   std::atomic<uint64_t> blocks_written_{0};
   std::atomic<uint64_t> bytes_buffered_{0};
-  std::atomic<uint64_t> files_written_{0};
   std::atomic<uint64_t> snapshot_waits_{0};
 
-  // --- worker coordination (threaded mode).  gate_ is the capability the
-  // ROC_GUARDED_BY annotations below refer to; gate_storage_ only owns it.
-  std::unique_ptr<comm::Gate> gate_storage_;
-  comm::Gate* const gate_;
-  std::unique_ptr<comm::Worker> worker_;
-  std::deque<Job> queue_ ROC_GUARDED_BY(gate_);
-  /// Outstanding jobs per file.
-  std::map<std::string, int> pending_ ROC_GUARDED_BY(gate_);
-  /// File the worker currently has open ("" none).
-  std::string open_file_ ROC_GUARDED_BY(gate_);
-  /// Basename being buffered by callers.
-  std::string current_snapshot_ ROC_GUARDED_BY(gate_);
-  /// Truncate-vs-append decision.
-  std::set<std::string> started_files_ ROC_GUARDED_BY(gate_);
-  bool stop_ ROC_GUARDED_BY(gate_) = false;
-
-  // Worker-owned; accessed only from the writing thread (no guard needed).
-  std::unique_ptr<shdf::Writer> writer_;
-  std::string open_path_;  ///< Mirror of open_file_ for the worker.
+  /// The open per-process file; the worker's in T-Rochdf.
+  roccom::SnapshotFiles files_;
+  /// Basename being buffered (T-Rochdf); calling thread only.
+  std::string current_snapshot_;
+  /// T-Rochdf's worker; null for Rochdf.  Declared last: it runs
+  /// write_job until it is destroyed.
+  std::unique_ptr<roccom::WriteBehind> behind_;
 };
 
 }  // namespace roc::rochdf

@@ -13,20 +13,32 @@ using roccom::Pane;
 using roccom::Roccom;
 using roccom::WireBlock;
 
+namespace {
+
+/// The WriteBegin header of one request.  It carries the causing span's
+/// identity (zeros when untraced); the server adopts it for every span the
+/// request triggers.
+WriteHeader write_header(const IoRequest& req, size_t nblocks,
+                         const telemetry::TraceContext& ctx) {
+  return {req.file,  req.window, req.attribute, req.time,
+          static_cast<uint32_t>(nblocks), ctx.trace_id, ctx.span_id};
+}
+
+}  // namespace
+
 RocpandaClient::RocpandaClient(comm::Comm& world, comm::Env& env,
                                const Layout& layout, ClientOptions options)
     : world_(world),
       env_(env),
       layout_(layout),
       options_(options),
-      server_(layout.server_of_client(world.rank())),
-      gate_storage_(env.make_gate()),
-      gate_(gate_storage_.get()) {
-  gate_->set_name("rocpanda-client-gate");
+      server_(layout.server_of_client(world.rank())) {
   require(!layout_.is_server(world_.rank()),
           "RocpandaClient constructed on a server rank");
   if (options_.client_buffering)
-    worker_ = env_.spawn_worker([this] { worker_loop(); });
+    behind_ = std::make_unique<roccom::WriteBehind>(
+        env, "client", "rocpanda client shipper",
+        [this](const roccom::WriteBehind::Job& job) { ship(job); });
 }
 
 RocpandaClient::~RocpandaClient() {
@@ -39,61 +51,31 @@ RocpandaClient::~RocpandaClient() {
 
 void RocpandaClient::shutdown() {
   if (shut_down_) return;
-  if (worker_) {
-    drain_local();
-    gate_->lock();
-    stop_ = true;
-    gate_->notify_all();
-    gate_->unlock();
-    worker_->join();
-    worker_.reset();
-  }
+  // Ships what is still buffered (a failure is logged, not thrown), so the
+  // server always hears that this client is done.
+  behind_.reset();
   world_.signal(server_, kTagShutdown);
   shut_down_ = true;
 }
 
 // --- client-side buffering (the paper's buffer hierarchy) -------------------
 
-ROC_HOT void RocpandaClient::ship(const Job& job) {
+ROC_HOT void RocpandaClient::ship(const roccom::WriteBehind::Job& job) {
   // Background in hierarchy mode: this is the cost the local buffer hides
   // from the application thread.  Re-adopting the job's context makes this
   // span a child of the perceived write that queued it (cross-thread edge).
   telemetry::ScopedTraceContext adopt(job.ctx);
   ROC_TRACE_SPAN("client", "ship.background");
-  world_.send(server_, kTagWriteBegin, job.header);
+  const WriteHeader h = write_header(job.req, job.blocks.size(), job.ctx);
+  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: one bounded header per
+  // request, not per block.
+  world_.send(server_, kTagWriteBegin, h.serialize());
   for (const auto& bytes : job.blocks)
     world_.send(server_, kTagWriteBlock, bytes);
   // The server acks every request (including empty ones).
   (void)world_.recv(server_, kTagWriteAck);
-}
-
-void RocpandaClient::worker_loop() {
-  gate_->lock();
-  for (;;) {
-    if (!queue_.empty()) {
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      shipping_ = true;
-      gate_->unlock();
-      ship(job);
-      bytes_sent_ += job.bytes;
-      blocks_sent_ += job.blocks.size();
-      gate_->lock();
-      shipping_ = false;
-      queued_bytes_ -= job.bytes;
-      gate_->notify_all();
-      continue;
-    }
-    if (stop_) break;
-    gate_->wait();
-  }
-  gate_->unlock();
-}
-
-void RocpandaClient::drain_local() {
-  if (!worker_) return;
-  comm::GateLock lock(*gate_);
-  while (!queue_.empty() || shipping_) gate_->wait();
+  bytes_sent_ += job.bytes;
+  blocks_sent_ += job.blocks.size();
 }
 
 ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
@@ -101,73 +83,24 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
   // The whole call is the snapshot's *perceived* cost on this rank (the
   // paper's visible output time); timeline.h groups these by file base.
   ROC_TRACE_SPAN_D("client", "snapshot.perceived", req.file);
-  const roccom::Window& w = com.window(req.window);
-  const auto& panes = w.panes();
-
-  WriteHeader h;
-  h.file = req.file;
-  h.window = req.window;
-  h.attribute = req.attribute;
-  h.time = req.time;
-  h.nblocks = static_cast<uint32_t>(panes.size());
-  // Stamp the perceived span's identity into the header: the server adopts
-  // it for every span this request triggers (zeros when untraced).
+  const auto& panes = com.window(req.window).panes();
   const telemetry::TraceContext trace_ctx = telemetry::current_trace_context();
-  h.trace_id = trace_ctx.trace_id;
-  h.span_id = trace_ctx.span_id;
   ++write_calls_;
 
-  if (worker_) {
+  if (behind_) {
     // Hierarchy mode: marshal into the local buffer and return; the
     // background worker ships to the server.  Buffer-reuse safety comes
     // from the marshalling copy itself.
-    Job job;
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: one bounded header per
-    // request, not per block.
-    job.header = h.serialize();
-    job.ctx = trace_ctx;
-    // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: one reservation per request,
-    // amortised over its blocks.
-    job.blocks.reserve(panes.size());
-    {
-      ROC_TRACE_SPAN("client", "marshal");
-      for (const Pane* p : panes) {
-        // Marshal into the reusable scratch chain, then gather into one
-        // pooled buffer: the single marshalling copy.  Everything
-        // downstream (queue, send, server buffer) shares references.
-        WireBlock::serialize_chain_into(*p->block, req.attribute, &pool_,
-                                        scratch_chain_);
-        SharedBuffer bytes = pool_.gather(scratch_chain_);
-        env_.charge_local_copy(bytes.size());
-        job.bytes += bytes.size();
-        // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: reserved above; growth
-        // is a reference push, amortised per request.
-        job.blocks.push_back(std::move(bytes));
-      }
-    }
-    // The counters are atomics, updated off the gate.
-    bytes_buffered_ += job.bytes;
-    uint64_t waits = 0;
-    {
-      comm::GateLock lock(*gate_);
-      while (queued_bytes_ + job.bytes > options_.client_buffer_capacity &&
-             (!queue_.empty() || shipping_)) {
-        ROC_TRACE_SPAN("client", "backpressure");
-        ++waits;
-        gate_->wait();
-      }
-      queued_bytes_ += job.bytes;
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: amortised job-queue
-      // growth; payloads are moved references.
-      queue_.push_back(std::move(job));
-      gate_->notify_all();
-    }
-    backpressure_waits_ += waits;
+    const auto posted =
+        behind_->post(req, panes, options_.client_buffer_capacity);
+    bytes_buffered_ += posted.bytes;
+    backpressure_waits_ += posted.waits;
     return;
   }
 
   {
     ROC_TRACE_SPAN("client", "ship");
+    const WriteHeader h = write_header(req, panes.size(), trace_ctx);
     // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: one bounded header per
     // request, not per block.
     world_.send(server_, kTagWriteBegin, h.serialize());
@@ -196,7 +129,8 @@ ROC_HOT void RocpandaClient::write_attribute(Roccom& com,
 
 void RocpandaClient::sync() {
   ROC_TRACE_SPAN("client", "sync");
-  drain_local();  // everything locally buffered must reach the server first
+  // Everything locally buffered must reach the server first.
+  if (behind_) behind_->drain();
   world_.signal(server_, kTagSyncReq);
   (void)world_.recv(server_, kTagSyncAck);
   ++sync_calls_;
@@ -221,7 +155,7 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
     const std::string& file, const std::string& window,
     const std::vector<int>& pane_ids) {
   ROC_TRACE_SPAN_D("client", "restart.fetch", file);
-  drain_local();  // reads must follow every locally buffered write
+  if (behind_) behind_->drain();  // reads follow every buffered write
   ReadHeader h;
   h.file = file;
   h.window = window;
@@ -265,7 +199,7 @@ void RocpandaClient::read_attribute(Roccom& com, const IoRequest& req) {
 }
 
 std::vector<int> RocpandaClient::list_panes(const std::string& file) {
-  drain_local();
+  if (behind_) behind_->drain();
   ByteWriter w;
   w.put_string(file);
   world_.send(server_, kTagListReq, w.take());

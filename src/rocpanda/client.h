@@ -15,13 +15,12 @@
 /// writing run works (paper §4.1).
 
 #include <atomic>
-#include <deque>
-
-#include "util/thread_annotations.h"
+#include <memory>
 
 #include "comm/comm.h"
 #include "comm/env.h"
 #include "roccom/io_service.h"
+#include "roccom/write_behind.h"
 #include "rocpanda/layout.h"
 
 namespace roc::rocpanda {
@@ -87,23 +86,9 @@ class RocpandaClient final : public roccom::IoService {
       const std::string& file, const std::string& window,
       const std::vector<int>& pane_ids);
 
-  /// One buffered collective write (hierarchy mode).  Blocks are pooled
-  /// wire-format buffers; ship() enqueues references, so the bytes are
-  /// copied exactly once (marshalling) on their way to the server.
-  struct Job {
-    std::vector<unsigned char> header;  ///< WriteHeader bytes.
-    std::vector<SharedBuffer> blocks;   ///< WireBlock bytes, pool-backed.
-    uint64_t bytes = 0;
-    /// Requesting thread's causal context: the background worker re-adopts
-    /// it so ship-side spans stitch to the perceived write span.
-    telemetry::TraceContext ctx;
-  };
-
-  /// Ships one job to the server and waits for the buffering ack.
-  void ship(const Job& job) ROC_EXCLUDES(gate_);
-  void worker_loop() ROC_EXCLUDES(gate_);
-  /// Blocks until the local buffer is fully shipped (hierarchy mode).
-  void drain_local() ROC_EXCLUDES(gate_);
+  /// Ships one buffered request to the server and waits for the
+  /// buffering ack (hierarchy mode, on the worker).
+  void ship(const roccom::WriteBehind::Job& job);
 
   comm::Comm& world_;
   comm::Env& env_;
@@ -112,14 +97,11 @@ class RocpandaClient final : public roccom::IoService {
   int server_;  ///< World rank of this client's server.
   bool shut_down_ = false;
 
-  /// Recycles marshalling buffers across write calls (hierarchy mode).
-  /// Internally synchronized: buffers return to the pool from whichever
-  /// thread drops the last reference.
+  /// Recycles the direct mode's marshalling buffers.  Internally
+  /// synchronized: buffers return from whichever thread drops them last.
   BufferPool pool_;
-
-  /// Marshalling scratch: serialize_chain_into refills it per pane, reusing
-  /// the segment-list capacity.  Only touched by the thread that calls
-  /// write_attribute (the chain is consumed before the call returns).
+  /// Direct-mode marshalling scratch, refilled per pane by the thread that
+  /// calls write_attribute (the chain is consumed before the call returns).
   BufferChain scratch_chain_;
 
   // Counters behind stats(): atomic because the background worker
@@ -132,15 +114,9 @@ class RocpandaClient final : public roccom::IoService {
   std::atomic<uint64_t> bytes_buffered_{0};
   std::atomic<uint64_t> backpressure_waits_{0};
 
-  // --- client-side buffering (hierarchy mode).  gate_ is the capability
-  // the ROC_GUARDED_BY annotations refer to; gate_storage_ only owns it.
-  std::unique_ptr<comm::Gate> gate_storage_;
-  comm::Gate* const gate_;
-  std::unique_ptr<comm::Worker> worker_;
-  std::deque<Job> queue_ ROC_GUARDED_BY(gate_);
-  uint64_t queued_bytes_ ROC_GUARDED_BY(gate_) = 0;
-  bool shipping_ ROC_GUARDED_BY(gate_) = false;  ///< Worker is mid-job.
-  bool stop_ ROC_GUARDED_BY(gate_) = false;
+  /// The client-side buffer and its shipping worker (hierarchy mode);
+  /// null otherwise.  Declared last: it runs ship() until it is destroyed.
+  std::unique_ptr<roccom::WriteBehind> behind_;
 };
 
 }  // namespace roc::rocpanda

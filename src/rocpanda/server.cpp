@@ -69,7 +69,8 @@ class Server {
         layout_(layout),
         opts_(options),
         my_index_(layout.server_index(world.rank())),
-        clients_(layout.clients_of_server(world.rank())) {}
+        clients_(layout.clients_of_server(world.rank())),
+        files_(fs) {}
 
   ServerStats run() {
     size_t shutdowns_remaining = clients_.size();
@@ -87,7 +88,6 @@ class Server {
           {
             ROC_TRACE_SPAN("server", "sync.drain");
             drain();
-            close_writer();
           }
           for (int src : pending_syncs_) world_.signal(src, kTagSyncAck);
           pending_syncs_.clear();
@@ -134,7 +134,8 @@ class Server {
         }
       }
     }
-    close_writer();
+    files_.close();
+    stats_.files_created = files_.files_created();
     return stats_;
   }
 
@@ -270,32 +271,11 @@ class Server {
     write_item(item);
   }
 
+  /// Writes every buffered block and commits the open file.
   void drain() {
     ROC_CHECK_SHARED_READ(&buffer_, "server.buffer");
     while (!buffer_.empty()) write_one_buffered();
-  }
-
-  // --- file writing --------------------------------------------------------
-
-  void ensure_writer(const std::string& path) {
-    if (writer_ && open_path_ != path) close_writer();
-    if (!writer_) {
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file, not
-      // per block (file-tracking bookkeeping and Writer construction).
-      const bool first = started_files_.insert(path).second;
-      if (first) ++stats_.files_created;
-      // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: once per opened file.
-      writer_ = std::make_unique<shdf::Writer>(
-          roccom::open_snapshot_file(fs_, path, first));
-      open_path_ = path;
-    }
-  }
-
-  void close_writer() {
-    if (!writer_) return;
-    writer_->close();
-    writer_.reset();
-    open_path_.clear();
+    files_.close();
   }
 
   ROC_HOT void write_item(const BufferedItem& item) {
@@ -308,11 +288,11 @@ class Server {
     const RequestMeta& meta = *item.meta;
     telemetry::ScopedTraceContext adopt(meta.ctx);
     ROC_TRACE_SPAN_D("server", "snapshot.background", meta.header.file);
-    ensure_writer(meta.path);
+    shdf::Writer& w = files_.open(meta.path);
     // Pass-through: dataset payloads stream from the retained wire bytes;
     // no MeshBlock, no re-marshalling.  The server-retained scratch makes
     // steady-state writes allocation-free.
-    item.view.write_to(*writer_, meta.header.window, meta.header.time,
+    item.view.write_to(w, meta.header.window, meta.header.time,
                        &write_scratch_);
     ++stats_.blocks_written;
   }
@@ -342,7 +322,6 @@ class Server {
     ROC_TRACE_SPAN_D("server", "restart.read", first.file);
     // Reads must see every prior write.
     drain();
-    close_writer();
     std::map<int, std::set<int32_t>> wanted;  // client world rank -> ids
     for (const auto& [client, h] : pending_reads_) {
       require(h.file == first.file && h.window == first.window,
@@ -441,7 +420,6 @@ class Server {
   /// pending_lists_.
   void handle_list() {
     drain();
-    close_writer();
     const std::string base = pending_lists_.begin()->second;
     for (const auto& [client, b] : pending_lists_)
       require(b == base, "clients disagree on the listed file name");
@@ -479,9 +457,8 @@ class Server {
   std::set<int> pending_syncs_;
   std::map<int, ReadHeader> pending_reads_;
   std::map<int, std::string> pending_lists_;
-  std::unique_ptr<shdf::Writer> writer_;
-  std::string open_path_;
-  std::set<std::string> started_files_;
+  /// The server file being written.
+  roccom::SnapshotFiles files_;
   /// Per-dataset name/def/chain storage recycled across all blocks the
   /// background writer streams out.
   roccom::WriteScratch write_scratch_;

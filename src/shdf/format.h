@@ -31,7 +31,7 @@
 ///   * kIndexed — entries sorted by name; lookup is a binary search; the
 ///     directory is written once at close (HDF5-style).  The services'
 ///     snapshot files use it on every real substrate
-///     (roccom::open_snapshot_file picks the kind from the file system).
+///     (roccom::SnapshotFiles picks the kind from the file system).
 
 #include "shdf/types.h"
 #include "util/serialize.h"

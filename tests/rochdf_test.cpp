@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <thread>
 
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
 #include "rochdf/rochdf.h"
 #include "shdf/reader.h"
+#include "util/log_capture.h"
+#include "util/mutex.h"
+#include "util/thread.h"
 #include "vfs/vfs.h"
+
+#include "test_fs.h"
 
 namespace roc::rochdf {
 namespace {
@@ -314,12 +321,75 @@ TEST(TRochdf, VisibleCallDoesNotWriteSynchronously) {
   });
 }
 
+/// Real environment whose gates report every wait, with the waiting
+/// thread, so a test can act exactly once a given thread is blocked on a
+/// service's gate.
+class WaitWatchingEnv final : public comm::Env {
+ public:
+  double now() override { return real_.now(); }
+  void compute(double seconds) override { real_.compute(seconds); }
+  void charge_local_copy(uint64_t bytes) override {
+    real_.charge_local_copy(bytes);
+  }
+  std::unique_ptr<comm::Worker> spawn_worker(
+      std::function<void()> body) override {
+    return real_.spawn_worker(std::move(body));
+  }
+  std::unique_ptr<comm::Gate> make_gate() override {
+    return std::make_unique<WatchedGate>(*this);
+  }
+
+  /// Blocks until thread `id` has started a gate wait.
+  void await_wait_by(std::thread::id id) {
+    MutexLock lock(mu_);
+    while (std::find(waiters_.begin(), waiters_.end(), id) == waiters_.end())
+      cv_.wait(mu_);
+  }
+
+ private:
+  class WatchedGate final : public comm::Gate {
+   public:
+    explicit WatchedGate(WaitWatchingEnv& env) : env_(env) {}
+
+   protected:
+    void do_lock() override { lock_.lock(); }
+    void do_unlock() override { lock_.unlock(); }
+    void do_wait() override {
+      // Reported while lock_ is still held: whoever the report wakes can
+      // only change the gate's state once this thread is really waiting.
+      env_.note_wait();
+      cv_.wait(lock_);
+    }
+    void do_notify_all() override { cv_.notify_all(); }
+
+   private:
+    WaitWatchingEnv& env_;
+    Mutex lock_{"watched-gate"};
+    CondVar cv_;
+  };
+
+  void note_wait() {
+    MutexLock lock(mu_);
+    waiters_.push_back(std::this_thread::get_id());
+    cv_.notify_all();
+  }
+
+  comm::RealEnv real_;
+  Mutex mu_{"wait-watch"};
+  CondVar cv_;
+  std::vector<std::thread::id> waiters_ ROC_GUARDED_BY(mu_);
+};
+
 TEST(TRochdf, AtMostOneSnapshotInFlight) {
   // Queue many snapshots back-to-back; the per-snapshot back-pressure
-  // guarantees they are all written completely and in order.
-  vfs::MemFileSystem fs;
+  // guarantees they are all written completely and in order.  The
+  // worker's writes are held until the application thread blocks on the
+  // service, so snapshot 0 is still being written when snapshot 1 arrives:
+  // the wait is certain, not a matter of timing.
+  vfs::MemFileSystem mem;
+  testfs::RecordingFileSystem fs(mem, /*hold_writes=*/true);
   comm::World::run(1, [&](comm::Comm& comm) {
-    comm::RealEnv env;
+    WaitWatchingEnv env;
     Roccom com;
     auto& w = com.create_window("fluid");
     auto b = make_block(0, 10);
@@ -328,6 +398,10 @@ TEST(TRochdf, AtMostOneSnapshotInFlight) {
     Options o;
     o.threaded = true;
     Rochdf io(comm, env, fs, o);
+    Thread releaser([&, app = std::this_thread::get_id()] {
+      env.await_wait_by(app);
+      fs.release();
+    });
     for (int snap = 0; snap < 8; ++snap) {
       b.field("pressure").data.assign(b.field("pressure").data.size(),
                                       static_cast<double>(snap));
@@ -336,11 +410,55 @@ TEST(TRochdf, AtMostOneSnapshotInFlight) {
                                    static_cast<double>(snap)});
     }
     io.sync();
+    releaser.join();
     for (int snap = 0; snap < 8; ++snap) {
       shdf::Reader r(fs, snap_name("q", snap, "_p0000.shdf"));
       EXPECT_EQ(r.read<double>("fluid/block_000000/field:pressure")[0],
                 static_cast<double>(snap));
     }
+    EXPECT_GT(io.stats().snapshot_waits, 0u);
+
+    // Snapshot k+1's file is opened only after snapshot k's is closed.
+    const auto events = fs.events();
+    const auto at = [&](const std::string& event) {
+      const auto it = std::find(events.begin(), events.end(), event);
+      EXPECT_NE(it, events.end()) << event;
+      return it - events.begin();
+    };
+    for (int snap = 0; snap + 1 < 8; ++snap)
+      EXPECT_LT(at(snap_name("close q", snap, "_p0000.shdf")),
+                at(snap_name("open q", snap + 1, "_p0000.shdf")))
+          << "snapshot " << snap;
+  });
+}
+
+TEST(TRochdf, BackgroundWriteErrorSurfacesOnTheNextCall) {
+  // A write that fails on the worker thread reaches the application as the
+  // IoError itself, from the next sync or write_attribute, every time
+  // after; the destructor neither throws nor hangs.
+  vfs::MemFileSystem mem;
+  testfs::CrashingFileSystem fs(mem);
+  fs.crash_at = 3;  // open, superblock, dataset seek: the first dataset
+                    // write fails, on the worker thread
+  ScopedLogCapture quiet;  // the failed file's close and the teardown log
+  comm::World::run(1, [&](comm::Comm& comm) {
+    comm::RealEnv env;
+    Roccom com;
+    auto& w = com.create_window("fluid");
+    auto b = make_block(0);
+    w.register_pane(0, &b);
+
+    Options o;
+    o.threaded = true;
+    Rochdf io(comm, env, fs, o);
+    io.write_attribute(com, IoRequest{"fluid", "all", "bad", 0.0});
+    EXPECT_THROW(io.sync(), IoError);
+    EXPECT_THROW(io.write_attribute(com, IoRequest{"fluid", "all", "bad", 0.0}),
+                 IoError);
+    EXPECT_THROW(
+        io.write_attribute(com, IoRequest{"fluid", "all", "next", 0.0}),
+        IoError);
+    EXPECT_THROW(io.sync(), IoError);
   });
 }
 

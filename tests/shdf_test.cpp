@@ -11,6 +11,8 @@
 #include "util/log_capture.h"
 #include "vfs/vfs.h"
 
+#include "test_fs.h"
+
 namespace roc::shdf {
 namespace {
 
@@ -389,78 +391,7 @@ TEST(Shdf, InvalidHeaderFailsOnTheFirstProbe) {
   EXPECT_LE(counting.bytes_read, kSuperblockBytes + directory_bytes + 512);
 }
 
-/// FileSystem decorator for a process that crashes at op `crash_at`: from
-/// that file-system or file call onward (counting from 0) every call throws
-/// IoError and changes nothing, so a Writer's implicit close cannot write
-/// either.  What reached the base file system before the crash stays.
-class CrashingFileSystem final : public vfs::FileSystem {
- public:
-  explicit CrashingFileSystem(vfs::FileSystem& base) : base_(base) {}
-
-  std::unique_ptr<vfs::File> open(const std::string& path,
-                                  vfs::OpenMode mode) override {
-    step();
-    return std::make_unique<CrashingFile>(base_.open(path, mode), *this);
-  }
-  bool exists(const std::string& path) override {
-    step();
-    return base_.exists(path);
-  }
-  void remove(const std::string& path) override {
-    step();
-    base_.remove(path);
-  }
-  std::vector<std::string> list(const std::string& prefix) override {
-    step();
-    return base_.list(prefix);
-  }
-
-  uint64_t ops = 0;  ///< Calls so far, including the failed ones.
-  uint64_t crash_at = UINT64_MAX;
-
- private:
-  class CrashingFile final : public vfs::File {
-   public:
-    CrashingFile(std::unique_ptr<vfs::File> f, CrashingFileSystem& fs)
-        : f_(std::move(f)), fs_(fs) {}
-
-    void writev(std::span<const ConstBuffer> segments) override {
-      fs_.step();
-      f_->writev(segments);
-    }
-    void read(void* out, size_t n) override {
-      fs_.step();
-      f_->read(out, n);
-    }
-    void seek(uint64_t pos) override {
-      fs_.step();
-      f_->seek(pos);
-    }
-    [[nodiscard]] uint64_t tell() const override {
-      fs_.step();
-      return f_->tell();
-    }
-    [[nodiscard]] uint64_t size() const override {
-      fs_.step();
-      return f_->size();
-    }
-    void flush() override {
-      fs_.step();
-      f_->flush();
-    }
-
-   private:
-    std::unique_ptr<vfs::File> f_;
-    CrashingFileSystem& fs_;
-  };
-
-  void step() {
-    if (ops++ >= crash_at)
-      throw IoError("crashed at op " + std::to_string(crash_at));
-  }
-
-  vfs::FileSystem& base_;
-};
+using testfs::CrashingFileSystem;
 
 TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
   // A committed window, then an append of a second one that crashes at

@@ -533,7 +533,7 @@ std::map<std::string, shdf::DirectoryKind> snapshot_directory_kinds(
 }
 
 TEST(SimIntegration, SubstratePicksTheSnapshotDirectoryKind) {
-  // roccom::open_snapshot_file is the one place the kind is chosen: every
+  // roccom::SnapshotFiles::open is the one place the kind is chosen: every
   // service's files are kIndexed on a real substrate and kLinear (the
   // paper's HDF4 bookkeeping) on the simulator.
   for (const bool on_sim : {false, true}) {

@@ -746,7 +746,7 @@ class LexicalEngine:
 
     Two phases: (1) harvest classes and fields from every file, (2) merge
     fields of same-named classes across files, then analyze method bodies.
-    The merge is what lets an out-of-line `Rochdf::write_now` in rochdf.cpp
+    The merge is what lets an out-of-line `Rochdf::write_job` in rochdf.cpp
     be checked against the guards declared in rochdf.h."""
 
     name = "lexical"
