@@ -373,10 +373,13 @@ void WireBlockView::write_to(shdf::Writer& w, const std::string& window,
   WriteScratch local;
   WriteScratch& sc = scratch ? *scratch : local;
   block_prefix_into(window, pane_id_, sc.prefix);
-  const unsigned char* base = wire_.data();
+  // Each payload is an owned slice of the retained wire bytes, so the
+  // writer may queue it past this call and gather many datasets into one
+  // write.
   auto put = [&](const Section& s, const shdf::DatasetDef& def) {
     sc.chain.clear();
-    sc.chain.append_borrowed(base + s.offset, static_cast<size_t>(s.bytes));
+    sc.chain.append(wire_.slice(static_cast<size_t>(s.offset),
+                                static_cast<size_t>(s.bytes)));
     w.put_dataset(def, sc.chain);
   };
   if (kind_ == kKindField) {

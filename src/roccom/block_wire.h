@@ -97,7 +97,7 @@ struct WriteScratch {
   /// the attribute list, which would destroy the retained vector and
   /// force a reallocation on every coords rebuild).
   shdf::DatasetDef geo_def;
-  BufferChain chain;      ///< One borrowed payload segment per dataset.
+  BufferChain chain;      ///< One owned payload slice per dataset.
 };
 
 /// Non-materialising view over one received wire block.  parse() reads
@@ -114,8 +114,9 @@ class WireBlockView {
 
   /// Writes this block's datasets into `w`, byte-identical to
   /// `WireBlock::deserialize(bytes).write_to(...)`, without constructing a
-  /// MeshBlock: each dataset payload is a chain segment aliasing the wire
-  /// bytes, gathered to disk by shdf::Writer::put_dataset.  Passing a
+  /// MeshBlock: each dataset payload is an owned slice of the wire bytes,
+  /// which shdf::Writer::put_dataset may queue and gather to disk with
+  /// later datasets.  Passing a
   /// caller-retained `scratch` makes steady-state writes allocation-free;
   /// with null a call-local scratch is used.
   void write_to(shdf::Writer& w, const std::string& window, double time,

@@ -193,6 +193,17 @@ void SnapshotFiles::close() {
   w->close();
 }
 
+void SnapshotFiles::write_queued() {
+  if (writer_) writer_->write_queued();
+}
+
+void SnapshotFiles::abandon() noexcept {
+  if (!writer_) return;
+  writer_->abandon();
+  writer_.reset();
+  path_.clear();
+}
+
 std::vector<std::string> snapshot_files(vfs::FileSystem& fs,
                                         const std::string& prefix,
                                         const std::string& base) {

@@ -90,8 +90,13 @@ class SnapshotFiles {
 
   /// Writer for `path`, opening it if it is not the open file.
   [[nodiscard]] shdf::Writer& open(const std::string& path);
+  /// Writes the open file's queued datasets (shdf::Writer::write_queued).
+  void write_queued();
   /// Closes the open file, if any; it is dropped even if the close throws.
   void close();
+  /// Drops the open file, if any, without committing it
+  /// (shdf::Writer::abandon): it keeps its last committed state.
+  void abandon() noexcept;
 
   /// Files created (first touches) so far; safe from any thread.
   [[nodiscard]] uint64_t files_created() const { return created_; }

@@ -175,6 +175,9 @@ class Server {
           }
         });
         if (--ctx.remaining == 0) {
+          // Write-through: the request's blocks reach the file before its
+          // ack, so the ack reports a failed write.
+          if (!opts_.active_buffering) guarded([&] { files_.write_queued(); });
           write_ctx_.erase(it);
           reply(st.source, kTagWriteAck);
         }
@@ -219,6 +222,9 @@ class Server {
   ROC_COLD void fail(const std::exception& e) {
     failure_ = std::current_exception();
     status_ = SharedBuffer::adopt(failure_status(e));
+    // The open file is dropped uncommitted and keeps its last committed
+    // state; the Server's destructor must not close it.
+    files_.abandon();
     ROC_CHECK_SHARED_WRITE(&buffer_, "server.buffer");
     buffer_.clear();
     buffered_bytes_ = 0;

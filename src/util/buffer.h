@@ -28,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "util/error.h"
 #include "util/hot.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -54,6 +55,16 @@ class SharedBuffer {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::span<const unsigned char> span() const {
     return {data_, size_};
+  }
+
+  /// The bytes `[off, off + n)` as a buffer that shares this one's owner:
+  /// no copy, and the storage stays alive while the slice does.  An empty
+  /// slice is the empty buffer.
+  [[nodiscard]] SharedBuffer slice(size_t off, size_t n) const {
+    require(off <= size_ && n <= size_ - off, "slice [", off, ", +", n,
+            ") past the end of a ", size_, "-byte buffer");
+    if (n == 0) return {};
+    return SharedBuffer(owner_, data_ + off, n);
   }
 
   /// Compatibility accessor: a fresh mutable copy of the bytes, for call

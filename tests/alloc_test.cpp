@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "check/alloc_hook.h"
 #include "comm/thread_comm.h"
@@ -160,6 +162,33 @@ TEST(ZeroAllocPipeline, PassThroughWriteSteadyStateIsSilent) {
   view.write_to(w, "wa2", 0.0, &scratch);
   const uint64_t charged = check::thread_charged_allocs() - c0;
   EXPECT_EQ(charged, 0u);
+}
+
+TEST(ZeroAllocPipeline, QueuedSmallBlocksAndCloseAreSilent) {
+  // `fine`'s shape: a few hundred ~20 KB blocks through one writer, whose
+  // queue is written several times (6 MB against its 1 MiB bound) and then
+  // by close().  The queue and its header arena are sized when the writer
+  // opens, so they never grow here.
+  const auto b = fluid_block(7);
+  const SharedBuffer wire = SharedBuffer::adopt(
+      roccom::WireBlock::from_block(b, "all").serialize());
+  const auto view = roccom::WireBlockView::parse(wire);
+  std::vector<std::string> windows(300, "w");
+  // Appended piecewise: `"w" + std::to_string(...)` trips GCC 12's bogus
+  // -Wrestrict at -O3 (PR105651).
+  for (size_t i = 0; i < windows.size(); ++i)
+    windows[i] += std::to_string(1000 + i);
+  roccom::WriteScratch scratch;
+  vfs::MemFileSystem fs;
+  shdf::Writer w(fs, "f");
+  view.write_to(w, "warm0", 0.0, &scratch);  // warm
+  const uint64_t c0 = check::thread_charged_allocs();
+  for (const std::string& window : windows)
+    view.write_to(w, window, 0.0, &scratch);
+  w.close();
+  const uint64_t charged = check::thread_charged_allocs() - c0;
+  EXPECT_EQ(charged, 0u);
+  EXPECT_GT(fs.total_bytes(), 5u << 20);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <numeric>
 
 #include "comm/env.h"
@@ -19,6 +20,8 @@
 #include "rochdf/rochdf.h"
 #include "shdf/reader.h"
 #include "shdf/writer.h"
+#include "test_fs.h"
+#include "util/log_capture.h"
 #include "vfs/vfs.h"
 
 namespace roc::roccom {
@@ -360,6 +363,88 @@ TEST(BlockIo, BlocksInFileListsEveryWindowInOrder) {
   EXPECT_EQ(blocks[1].pane_id, 2);
   EXPECT_EQ(blocks[2].window, "solid");
   EXPECT_EQ(blocks[2].pane_id, 4);
+}
+
+TEST(BlockIo, PassThroughAppendLeavesOldOrNewStateAfterEveryFault) {
+  // A committed window, then an append of four ~0.9 MB blocks through
+  // WireBlockView::write_to, whose owned payload slices the writer queues
+  // and writes in several gathers.  A crash at any op, or a failure of any
+  // one op, must leave the file opening to exactly the old datasets or
+  // exactly the new set, every payload's CRC intact.
+  const auto wire_of = [](int id, int n) {
+    auto b = mesh::MeshBlock::structured(id, {n, n, n});
+    mesh::add_fluid_schema(b);
+    std::iota(b.coords().begin(), b.coords().end(), 0.25 * id);
+    for (const char* f : {"velocity", "pressure", "temperature"}) {
+      auto& data = b.field(f).data;
+      std::iota(data.begin(), data.end(), 1000.0 * id);
+    }
+    return SharedBuffer::adopt(WireBlock::from_block(b, "all").serialize());
+  };
+  const SharedBuffer first = wire_of(0, 4);
+  std::vector<SharedBuffer> second;
+  for (int id = 1; id <= 4; ++id) second.push_back(wire_of(id, 24));
+
+  const auto commit_first = [&](vfs::FileSystem& fs) {
+    shdf::Writer w(fs, "p.shdf");
+    WireBlockView::parse(first).write_to(w, "fluid", 0.0);
+    w.close();
+  };
+  const auto append_second = [&](vfs::FileSystem& fs) {
+    shdf::Writer w = shdf::Writer::append(fs, "p.shdf");
+    for (const SharedBuffer& wire : second)
+      WireBlockView::parse(wire).write_to(w, "burn", 0.5);
+    w.close();
+  };
+  // Every dataset's bytes, each read verifying its CRC.
+  const auto contents = [](vfs::FileSystem& fs) {
+    shdf::Reader r(fs, "p.shdf");
+    std::map<std::string, std::vector<unsigned char>> out;
+    for (const auto& name : r.dataset_names()) out[name] = r.read_raw(name);
+    return out;
+  };
+
+  vfs::MemFileSystem ref;
+  commit_first(ref);
+  const auto old_state = contents(ref);
+  uint64_t append_ops, append_writes;
+  {
+    testfs::CrashingFileSystem fs(ref);
+    append_second(fs);
+    append_ops = fs.ops;
+    append_writes = fs.writes;
+  }
+  const auto new_state = contents(ref);
+  ASSERT_EQ(new_state.size(), old_state.size() + 4 * 4);
+  // Several gathers for sixteen datasets, then the directory and the
+  // superblock.
+  EXPECT_GE(append_writes, 3u + 2u);
+  EXPECT_LT(append_writes, 16u);
+
+  ScopedLogCapture quiet;  // a writer dropped after a failed write logs it
+  for (const bool once : {false, true}) {
+    for (uint64_t n = 0; n <= append_ops; ++n) {
+      SCOPED_TRACE((once ? "fail once at op " : "crash at op ") +
+                   std::to_string(n));
+      vfs::MemFileSystem mem;
+      commit_first(mem);
+      testfs::CrashingFileSystem fs(mem);
+      (once ? fs.fail_once_at : fs.crash_at) = n;
+      try {
+        append_second(fs);
+      } catch (const IoError&) {
+      }
+      try {
+        const auto got = contents(mem);
+        if (n == append_ops)
+          EXPECT_TRUE(got == new_state);
+        else
+          EXPECT_TRUE(got == old_state || got == new_state);
+      } catch (const Error& e) {
+        ADD_FAILURE() << e.what();
+      }
+    }
+  }
 }
 
 // --- block wire format ---------------------------------------------------------

@@ -2,8 +2,9 @@
 /// \brief A Rocpanda server's failure reaches every one of its clients as an
 /// exception from the client's next call, never as a hang: file-system
 /// failures under every buffering mode on both substrates, clients that
-/// disagree on a collective, and a restart where one of two servers cannot
-/// read its file.
+/// disagree on a collective (whose failed server leaves its file
+/// uncommitted), and a restart where one of two servers cannot read its
+/// file.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "roccom/roccom.h"
 #include "rocpanda/client.h"
 #include "rocpanda/server.h"
+#include "shdf/reader.h"
 #include "sim/platform.h"
 #include "sim/sim_comm.h"
 #include "sim/sim_env.h"
@@ -184,6 +186,35 @@ TEST(MismatchedCollectives, SyncAgainstListIsAnErrorNotADeadlock) {
                    }),
                InvalidArgument);
   EXPECT_EQ(failures, d.nclients);
+}
+
+TEST(MismatchedCollectives, FailedServerLeavesItsOpenFileUncommitted) {
+  // Write-through puts both blocks in the server's open file; the
+  // collectives then fail the server.  Its file must keep its last
+  // committed state (none): a failed server commits nothing, so a restart
+  // never reads a snapshot the clients were told had failed.
+  Deployment d;
+  d.server.active_buffering = false;
+  vfs::MemFileSystem mem;
+  std::atomic<int> failures{0};
+  EXPECT_THROW(run(d, mem,
+                   [&](RocpandaClient& client, int me) {
+                     OnePane pane(me);
+                     client.write_attribute(pane.com,
+                                            IoRequest{"w", "all", "snap", 0.0});
+                     try {
+                       if (me == 0)
+                         client.sync();
+                       else
+                         (void)client.list_panes("snap");
+                     } catch (const InvalidArgument&) {
+                       ++failures;
+                     }
+                   }),
+               InvalidArgument);
+  EXPECT_EQ(failures, d.nclients);
+  ASSERT_TRUE(mem.exists("snap_s0000.shdf"));
+  EXPECT_THROW(shdf::Reader(mem, "snap_s0000.shdf"), FormatError);
 }
 
 TEST(MismatchedCollectives, RestartOfTwoFilesIsAnErrorNotAHang) {

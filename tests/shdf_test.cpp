@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/crc64.h"
@@ -393,10 +395,11 @@ TEST(Shdf, InvalidHeaderFailsOnTheFirstProbe) {
 
 using testfs::CrashingFileSystem;
 
-TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
-  // A committed window, then an append of a second one that crashes at
-  // every op in turn: the file must open to exactly the old datasets or
-  // exactly the new set, with every payload intact.
+/// A committed window, then an append of a second one (borrowed payloads,
+/// through add) that crashes at every op in turn (`once` false) or fails
+/// that op alone (`once` true): the file must open to exactly the old
+/// datasets or exactly the new set, with every payload intact.
+void expect_old_or_new_state_after_each_fault(bool once) {
   const std::vector<std::string> old_names{"fluid/a", "fluid/b"};
   const std::vector<std::string> new_names{"fluid/a", "fluid/b", "solid/c",
                                            "solid/d", "solid/e"};
@@ -424,13 +427,14 @@ TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
   }
   ASSERT_GT(append_ops, 8u);
 
-  ScopedLogCapture quiet;  // the implicit close logs each crash
+  ScopedLogCapture quiet;  // the implicit close logs each fault
   for (uint64_t n = 0; n <= append_ops; ++n) {
-    SCOPED_TRACE("crash at op " + std::to_string(n));
+    SCOPED_TRACE((once ? "fail once at op " : "crash at op ") +
+                 std::to_string(n));
     vfs::MemFileSystem mem;
     commit_first(mem);
     CrashingFileSystem fs(mem);
-    fs.crash_at = n;
+    (once ? fs.fail_once_at : fs.crash_at) = n;
     try {
       append_second(fs);
     } catch (const IoError&) {
@@ -448,6 +452,132 @@ TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
       ADD_FAILURE() << e.what();
     }
   }
+}
+
+TEST(Shdf, IndexedAppendCrashLeavesOldOrNewState) {
+  expect_old_or_new_state_after_each_fault(/*once=*/false);
+}
+
+TEST(Shdf, IndexedAppendFailedOpLeavesOldOrNewState) {
+  // A writer whose write failed never commits: the destructor's implicit
+  // close must not write a directory listing only the datasets before the
+  // failure, although the file system works again by then.
+  expect_old_or_new_state_after_each_fault(/*once=*/true);
+}
+
+TEST(Shdf, FailedWriteIsRethrownAndAbandonsTheFile) {
+  vfs::MemFileSystem mem;
+  CrashingFileSystem fs(mem);
+  Writer w(fs, "f.shdf", DirectoryKind::kIndexed);
+  fs.fail_once_at = fs.ops + 1;  // the dataset's writev (after its seek)
+  EXPECT_THROW(w.add("a", std::vector<double>{1.0}), IoError);
+  // The file system works again, but the writer stays failed.
+  EXPECT_THROW(w.add("b", std::vector<double>{2.0}), IoError);
+  EXPECT_THROW(w.close(), IoError);
+  EXPECT_THROW(w.close(), IoError);
+  expect_format_error([&] { Reader r(mem, "f.shdf"); },
+                      "f.shdf was never committed");
+}
+
+TEST(Shdf, AbandonKeepsTheLastCommittedState) {
+  vfs::MemFileSystem mem;
+  {
+    Writer w(mem, "f.shdf", DirectoryKind::kIndexed);
+    w.add("old", std::vector<double>{1.0});
+  }
+  {
+    Writer w = Writer::append(mem, "f.shdf");
+    w.add("borrowed", std::vector<double>{2.0});
+    BufferChain owned;
+    owned.append(SharedBuffer::copy_of(std::vector<double>{3.0}.data(), 8));
+    w.put_dataset(DatasetDef{"owned", DataType::kFloat64, {1}, {}}, owned);
+    w.abandon();
+    w.close();  // closed by abandon(): writes nothing
+  }
+  Reader r(mem, "f.shdf");
+  EXPECT_EQ(r.dataset_names(), (std::vector<std::string>{"old"}));
+
+  ScopedLogCapture log;
+  {
+    Writer w(mem, "new.shdf", DirectoryKind::kIndexed);
+    w.add("x", std::vector<double>{1.0});
+    w.abandon();
+  }
+  EXPECT_FALSE(log.contains("new.shdf"));  // dropped on purpose: not logged
+  expect_format_error([&] { Reader r2(mem, "new.shdf"); },
+                      "new.shdf was never committed");
+}
+
+TEST(Shdf, QueuedOwnedPayloadOutlivesItsCaller) {
+  // The writer queues owned payloads past put_dataset and must keep them
+  // alive itself: every caller reference is gone before close() writes
+  // them (ASan reports a use after free otherwise).
+  std::vector<double> expect(5000);
+  for (size_t i = 0; i < expect.size(); ++i) expect[i] = 0.5 * double(i);
+  vfs::MemFileSystem mem;
+  Writer w(mem, "f.shdf", DirectoryKind::kIndexed);
+  {
+    SharedBuffer bytes =
+        SharedBuffer::copy_of(expect.data(), expect.size() * sizeof(double));
+    BufferChain chain;
+    chain.append(bytes.slice(0, 16000));
+    chain.append(bytes.slice(16000, bytes.size() - 16000));
+    w.put_dataset(DatasetDef{"v", DataType::kFloat64, {expect.size()}, {}},
+                  chain);
+    EXPECT_EQ(bytes.use_count(), 5);  // this one, the chain's two, the queue's
+  }
+  w.close();
+  Reader r(mem, "f.shdf");
+  EXPECT_EQ(r.read<double>("v"), expect);
+}
+
+TEST(Shdf, PayloadOfMoreSegmentsThanOneGatherTakes) {
+  // 3000 one-element segments, owned and then borrowed: more than IOV_MAX,
+  // so each dataset takes several writes.
+  std::vector<double> values(3000);
+  std::iota(values.begin(), values.end(), 1.0);
+  const SharedBuffer bytes = SharedBuffer::copy_of(values.data(), 3000 * 8);
+  BufferChain owned, borrowed;
+  for (size_t i = 0; i < values.size(); ++i) {
+    owned.append(bytes.slice(8 * i, 8));
+    borrowed.append_borrowed(&values[i], 8);
+  }
+  vfs::MemFileSystem mem;
+  {
+    Writer w(mem, "f.shdf", DirectoryKind::kIndexed);
+    w.add("first", std::vector<double>{0.5});
+    w.put_dataset(DatasetDef{"owned", DataType::kFloat64, {3000}, {}}, owned);
+    w.put_dataset(DatasetDef{"borrowed", DataType::kFloat64, {3000}, {}},
+                  borrowed);
+    w.add("last", std::vector<double>{-0.5});
+  }
+  Reader r(mem, "f.shdf");
+  EXPECT_EQ(r.read<double>("first"), std::vector<double>{0.5});
+  EXPECT_EQ(r.read<double>("owned"), values);
+  EXPECT_EQ(r.read<double>("borrowed"), values);
+  EXPECT_EQ(r.read<double>("last"), std::vector<double>{-0.5});
+}
+
+TEST(Shdf, BorrowedPayloadIsWrittenBeforePutDatasetReturns) {
+  // A borrowed segment after queued owned ones: put_dataset writes the
+  // queue and the borrowed bytes before it returns, so the caller may
+  // overwrite its array at once.
+  vfs::MemFileSystem mem;
+  Writer w(mem, "f.shdf", DirectoryKind::kIndexed);
+  const std::vector<double> first{1.0, 2.0, 3.0};
+  BufferChain owned;
+  owned.append(SharedBuffer::copy_of(first.data(), 24));
+  w.put_dataset(DatasetDef{"owned", DataType::kFloat64, {3}, {}}, owned);
+  std::vector<double> source{4.0, 5.0, 6.0, 7.0};
+  BufferChain mixed;
+  mixed.append(SharedBuffer::copy_of(source.data(), 16));
+  mixed.append_borrowed(source.data() + 2, 16);
+  w.put_dataset(DatasetDef{"mixed", DataType::kFloat64, {4}, {}}, mixed);
+  std::fill(source.begin(), source.end(), -1.0);
+  w.close();
+  Reader r(mem, "f.shdf");
+  EXPECT_EQ(r.read<double>("owned"), first);
+  EXPECT_EQ(r.read<double>("mixed"), (std::vector<double>{4.0, 5.0, 6.0, 7.0}));
 }
 
 TEST(Shdf, NeverCommittedFileSaysSo) {

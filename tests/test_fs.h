@@ -1,9 +1,9 @@
 #pragma once
 /// \file test_fs.h
 /// \brief File-system decorators shared by the test suites: one that
-/// crashes at a chosen op (fault injection) and one that records every
-/// write handle's open and close and can hold writes until the test lets
-/// them through.
+/// crashes at a chosen op or fails that op once (fault injection) and one
+/// that records every write handle's open and close and can hold writes
+/// until the test lets them through.
 
 #include <memory>
 #include <string>
@@ -19,6 +19,8 @@ namespace roc::testfs {
 /// that file-system or file call onward (counting from 0) every call throws
 /// IoError and changes nothing, so a Writer's implicit close cannot write
 /// either.  What reached the base file system before the crash stays.
+/// Op `fail_once_at` alone throws IoError and changes nothing; the calls
+/// after it succeed, so a caller that ignores the error can go on writing.
 class CrashingFileSystem final : public vfs::FileSystem {
  public:
   explicit CrashingFileSystem(vfs::FileSystem& base) : base_(base) {}
@@ -41,8 +43,10 @@ class CrashingFileSystem final : public vfs::FileSystem {
     return base_.list(prefix);
   }
 
-  uint64_t ops = 0;  ///< Calls so far, including the failed ones.
+  uint64_t ops = 0;     ///< Calls so far, including the failed ones.
+  uint64_t writes = 0;  ///< writev calls so far, including the failed ones.
   uint64_t crash_at = UINT64_MAX;
+  uint64_t fail_once_at = UINT64_MAX;
 
  private:
   class CrashingFile final : public vfs::File {
@@ -51,6 +55,7 @@ class CrashingFileSystem final : public vfs::FileSystem {
         : f_(std::move(f)), fs_(fs) {}
 
     void writev(std::span<const ConstBuffer> segments) override {
+      ++fs_.writes;
       fs_.step();
       f_->writev(segments);
     }
@@ -81,8 +86,11 @@ class CrashingFileSystem final : public vfs::FileSystem {
   };
 
   void step() {
-    if (ops++ >= crash_at)
+    const uint64_t op = ops++;
+    if (op >= crash_at)
       throw IoError("crashed at op " + std::to_string(crash_at));
+    if (op == fail_once_at)
+      throw IoError("failed op " + std::to_string(fail_once_at));
   }
 
   vfs::FileSystem& base_;
