@@ -1,5 +1,10 @@
 #include "roccom/block_wire.h"
 
+#include <cstdint>
+#include <cstring>
+#include <string_view>
+#include <variant>
+
 #include "roccom/blockio.h"
 #include "util/serialize.h"
 
@@ -24,6 +29,7 @@ namespace roc::roccom {
 
 namespace {
 
+constexpr uint8_t kKindAll = 0;
 constexpr uint8_t kKindField = 2;
 
 constexpr uint8_t kRoleCoords = 0;
@@ -62,7 +68,19 @@ void read_payload(const unsigned char* src, uint64_t count, T* out) {
   }
 }
 
-void put_section_entry(ByteWriter& h, uint8_t role, const std::string& name,
+/// Writes the header fields ahead of the section table.
+void put_block_header(ByteWriter& h, int32_t pane_id, uint8_t kind,
+                      mesh::MeshKind mesh_kind,
+                      const std::array<int, 3>& node_dims,
+                      uint32_t nsections) {
+  h.put<int32_t>(pane_id);
+  h.put<uint8_t>(kind);
+  h.put<uint8_t>(static_cast<uint8_t>(mesh_kind));
+  for (const int d : node_dims) h.put<int32_t>(d);
+  h.put<uint32_t>(nsections);
+}
+
+void put_section_entry(ByteWriter& h, uint8_t role, std::string_view name,
                        mesh::Centering centering, int32_t ncomp,
                        uint64_t count) {
   h.put<uint8_t>(role);
@@ -86,24 +104,18 @@ void build_chain_into(int pane_id, uint8_t kind, const mesh::MeshBlock* geo,
   // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: ByteWriter is seeded from
   // pool-acquired storage; steady state reuses recycled capacity.
   ByteWriter h(pool ? pool->acquire(256) : std::vector<unsigned char>());
-  h.put<int32_t>(pane_id);
-  h.put<uint8_t>(kind);
   const bool unstructured =
       geo && geo->kind() == mesh::MeshKind::kUnstructured;
-  h.put<uint8_t>(geo ? static_cast<uint8_t>(geo->kind()) : 0);
-  const std::array<int, 3> dims =
-      geo ? geo->node_dims() : std::array<int, 3>{0, 0, 0};
-  for (int d : dims) h.put<int32_t>(d);
-  const auto nsec = static_cast<uint32_t>(
-      (geo ? 1u + (unstructured ? 1u : 0u) : 0u) + fields.size());
-  h.put<uint32_t>(nsec);
-  // ROCANALYZE-ALLOW(r8-hotpath-alloc): why: function-local static, constructed once per process.
-  static const std::string kNoName;
+  put_block_header(
+      h, pane_id, kind, geo ? geo->kind() : mesh::MeshKind::kStructured,
+      geo ? geo->node_dims() : std::array<int, 3>{0, 0, 0},
+      static_cast<uint32_t>((geo ? 1u + (unstructured ? 1u : 0u) : 0u) +
+                            fields.size()));
   if (geo) {
-    put_section_entry(h, kRoleCoords, kNoName, mesh::Centering::kNode, 1,
+    put_section_entry(h, kRoleCoords, {}, mesh::Centering::kNode, 1,
                       geo->coords().size());
     if (unstructured)
-      put_section_entry(h, kRoleConn, kNoName, mesh::Centering::kNode, 1,
+      put_section_entry(h, kRoleConn, {}, mesh::Centering::kNode, 1,
                         geo->connectivity().size());
   }
   for (const mesh::Field& f : fields)
@@ -123,7 +135,155 @@ void build_chain_into(int pane_id, uint8_t kind, const mesh::MeshBlock* geo,
     append_payload(out, f.data.data(), f.data.size());
 }
 
+// --- stored-block helpers (read_wire_block) --------------------------------
+
+/// `i`'s attribute `attr`, or null.
+const shdf::AttrValue* find_attr(const shdf::DatasetInfo& i,
+                                 std::string_view attr) {
+  for (const shdf::Attribute& a : i.def.attributes)
+    if (a.name == attr) return &a.value;
+  return nullptr;
+}
+
+// ROC_COLD: error-message formatting only.
+ROC_COLD [[noreturn]] void throw_bad_dataset(const shdf::DatasetInfo& i,
+                                             const char* what) {
+  throw FormatError("dataset '" + i.def.name + "' " + what);
+}
+
+ROC_COLD [[noreturn]] void throw_missing_attr(const shdf::DatasetInfo& i,
+                                              std::string_view attr) {
+  throw FormatError("dataset '" + i.def.name + "' lacks integer attribute '" +
+                    std::string(attr) + "'");
+}
+
+/// `i`'s integer attribute `attr`; throws FormatError if it is absent.
+int64_t int_attr(const shdf::DatasetInfo& i, std::string_view attr) {
+  const shdf::AttrValue* v = find_attr(i, attr);
+  if (!v || !std::holds_alternative<int64_t>(*v)) throw_missing_attr(i, attr);
+  return std::get<int64_t>(*v);
+}
+
+/// Elements `i` stores; throws FormatError unless they are of `type`.
+uint64_t stored_count(const shdf::DatasetInfo& i, shdf::DataType type) {
+  if (i.def.type != type) throw_bad_dataset(i, "has the wrong element type");
+  return i.data_bytes / shdf::type_size(type);
+}
+
+/// Collects into `out` the datasets of `r` whose names start with
+/// `prefix`, in directory order.  A kIndexed directory is sorted by name,
+/// so there they are one run, found by binary search.
+void datasets_with_prefix(const shdf::Reader& r, std::string_view prefix,
+                          std::vector<const shdf::DatasetInfo*>& out) {
+  out.clear();
+  const size_t n = r.dataset_count();
+  auto name = [&](size_t i) { return std::string_view(r.info(i).def.name); };
+  size_t i = 0;
+  if (r.directory_kind() == shdf::DirectoryKind::kIndexed) {
+    size_t hi = n;
+    while (i < hi) {
+      const size_t mid = i + (hi - i) / 2;
+      if (name(mid) < prefix)
+        i = mid + 1;
+      else
+        hi = mid;
+    }
+    for (; i < n && name(i).starts_with(prefix); ++i)
+      out.push_back(&r.info(i));
+    return;
+  }
+  for (; i < n; ++i)
+    if (name(i).starts_with(prefix)) out.push_back(&r.info(i));
+}
+
 }  // namespace
+
+// --- stored-block encoder ----------------------------------------------------
+
+SharedBuffer read_wire_block(const shdf::Reader& r, const std::string& window,
+                             int pane_id, std::span<const unsigned char> lead,
+                             BufferPool& pool, ReadScratch& sc) {
+  block_prefix_into(window, pane_id, sc.prefix);
+  sc.name = sc.prefix;
+  sc.name += "coords";
+  const shdf::DatasetInfo& coords = r.info(sc.name);
+  const int64_t kind = int_attr(coords, "kind");
+  if (kind != 0 && kind != 1) throw_bad_dataset(coords, "has a bad mesh kind");
+  const bool unstructured = kind == 1;
+  std::array<int, 3> dims{0, 0, 0};
+  const shdf::DatasetInfo* conn = nullptr;
+  if (unstructured) {
+    sc.name = sc.prefix;
+    sc.name += "connectivity";
+    conn = &r.info(sc.name);
+  } else {
+    const shdf::AttrValue* nd = find_attr(coords, "node_dims");
+    const auto* v = nd ? std::get_if<std::vector<int64_t>>(nd) : nullptr;
+    if (!v || v->size() != 3) throw_bad_dataset(coords, "lacks node_dims");
+    for (size_t d = 0; d < 3; ++d) {
+      if ((*v)[d] < 2 || (*v)[d] > INT32_MAX)
+        throw_bad_dataset(coords, "has bad node_dims");
+      dims[d] = static_cast<int>((*v)[d]);
+    }
+  }
+  sc.name = sc.prefix;
+  sc.name += "field:";
+  datasets_with_prefix(r, sc.name, sc.fields);
+
+  // The header, as build_chain_into writes it for read_block's MeshBlock.
+  ByteWriter h(std::move(sc.header));
+  put_block_header(h, pane_id, kKindAll, static_cast<mesh::MeshKind>(kind),
+                   dims,
+                   static_cast<uint32_t>(1 + (unstructured ? 1 : 0) +
+                                         sc.fields.size()));
+  put_section_entry(h, kRoleCoords, {}, mesh::Centering::kNode, 1,
+                    stored_count(coords, shdf::DataType::kFloat64));
+  if (conn)
+    put_section_entry(h, kRoleConn, {}, mesh::Centering::kNode, 1,
+                      stored_count(*conn, shdf::DataType::kInt32));
+  for (const shdf::DatasetInfo* f : sc.fields) {
+    const int64_t centering = int_attr(*f, "centering");
+    if (centering != 0 && centering != 1)
+      throw_bad_dataset(*f, "has a bad centering");
+    if (f->def.dims.size() != 2 || f->def.dims[1] < 1 ||
+        f->def.dims[1] > INT32_MAX)
+      throw_bad_dataset(*f, "has bad dimensions for a field");
+    put_section_entry(h, kRoleField,
+                      std::string_view(f->def.name).substr(sc.name.size()),
+                      static_cast<mesh::Centering>(centering),
+                      static_cast<int32_t>(f->def.dims[1]),
+                      stored_count(*f, shdf::DataType::kFloat64));
+  }
+  sc.header = h.take();
+
+  // One buffer laid out as the message.  The payloads' total is bounded by
+  // the file's size before anything is allocated; read_payload then checks
+  // each payload's own extent.
+  uint64_t payload = 0;
+  auto add = [&](const shdf::DatasetInfo& i) {
+    if (i.data_bytes > r.file_size() - payload)
+      throw_bad_dataset(i, "extends past the end of its file");
+    payload += i.data_bytes;
+  };
+  add(coords);
+  if (conn) add(*conn);
+  for (const shdf::DatasetInfo* f : sc.fields) add(*f);
+  std::vector<unsigned char> out = pool.acquire(
+      lead.size() + sc.header.size() + static_cast<size_t>(payload));
+  unsigned char* at = out.data();
+  if (!lead.empty()) std::memcpy(at, lead.data(), lead.size());
+  at += lead.size();
+  std::memcpy(at, sc.header.data(), sc.header.size());
+  at += sc.header.size();
+  auto read = [&](const shdf::DatasetInfo& i) {
+    r.read_payload(i, at);
+    at += i.data_bytes;
+  };
+  read(coords);
+  if (conn) read(*conn);
+  for (const shdf::DatasetInfo* f : sc.fields) read(*f);
+  return pool.seal(std::move(out));
+}
 
 // --- header parser -------------------------------------------------------
 
@@ -281,7 +441,7 @@ void WireBlock::serialize_chain_into(const mesh::MeshBlock& block,
   if (attribute == "all") {
     // The block's fields are contiguous, so the whole set marshals as one
     // span — no per-call pointer scratch (this is an R8 hot path).
-    build_chain_into(block.id(), 0, &block, block.fields(), pool, out);
+    build_chain_into(block.id(), kKindAll, &block, block.fields(), pool, out);
     return;
   }
   if (attribute == "mesh") {

@@ -19,13 +19,18 @@
 ///    segments alias the caller's arrays (no marshalling copy);
 ///  * `WireBlockView` parses received bytes in place and streams dataset
 ///    payloads straight into shdf::Writer (no MeshBlock on the server);
+///  * `read_wire_block` reads a stored block's payloads from its file
+///    straight into one buffer laid out as the message (no MeshBlock on
+///    the restarting server either);
 ///  * `decode_block` writes each array once, into the MeshBlock.
 
 #include <array>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mesh/mesh_block.h"
+#include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/buffer.h"
 
@@ -99,6 +104,33 @@ struct WriteScratch {
   shdf::DatasetDef geo_def;
   BufferChain chain;      ///< One owned payload slice per dataset.
 };
+
+/// Reusable scratch for read_wire_block.  A caller encoding many stored
+/// blocks keeps one alive so the names, the field list and the header
+/// bytes are recycled instead of reallocated: the restarting server's
+/// zero-alloc steady state.
+struct ReadScratch {
+  std::string prefix;  ///< Block group prefix, rebuilt per block.
+  std::string name;    ///< Name of the dataset being looked up.
+  /// The block's field datasets, in directory order.
+  std::vector<const shdf::DatasetInfo*> fields;
+  std::vector<unsigned char> header;  ///< The wire header being built.
+};
+
+/// Encodes stored block `pane_id` of `window` as an "all" wire block behind
+/// the caller's `lead` bytes, in one buffer from `pool`.  The header is
+/// built from the dataset infos `r` already holds; each payload (coords,
+/// connectivity, then the fields in directory order) is read from the file
+/// straight into its place and checksum-verified there.  The bytes after
+/// `lead` equal `WireBlock::serialize_chain(read_block(r, window, pane_id),
+/// "all")`.  Throws FormatError for a missing, mistyped or corrupt
+/// dataset, as read_block does.
+[[nodiscard]] SharedBuffer read_wire_block(const shdf::Reader& r,
+                                           const std::string& window,
+                                           int pane_id,
+                                           std::span<const unsigned char> lead,
+                                           BufferPool& pool,
+                                           ReadScratch& scratch);
 
 /// Non-materialising view over one received wire block.  parse() reads
 /// only the header; write_to() streams the dataset payloads directly from

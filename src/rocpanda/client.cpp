@@ -189,13 +189,25 @@ std::vector<mesh::MeshBlock> RocpandaClient::fetch_internal(
                   std::vector<int32_t>(pane_ids.begin(), pane_ids.end())})
           .result.get<uint32_t>();
 
+  // Each block message starts with its server's status: a server that
+  // failed while reading sends its failure in place of each block it did
+  // not send.  Every message is received before the first failure is
+  // rethrown, so none is left behind for a later fetch.
   std::vector<mesh::MeshBlock> blocks;
   blocks.reserve(count);
+  std::exception_ptr failure;
   for (uint32_t i = 0; i < count; ++i) {
     auto msg = world_.recv(comm::kAnySource, kTagReadBlock);
-    blocks.push_back(
-        roccom::decode_block(msg.payload.data(), msg.payload.size()));
+    try {
+      ByteReader r(msg.payload.data(), msg.payload.size());
+      check_status(r);
+      blocks.push_back(roccom::decode_block(msg.payload.data() + r.position(),
+                                            r.remaining()));
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
   }
+  if (failure) std::rethrow_exception(failure);
   blocks_fetched_ += count;
 
   roccom::finish_fetch(file, pane_ids, blocks);

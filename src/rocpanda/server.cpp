@@ -433,23 +433,30 @@ class Server {
       reply(c, kTagCollectiveReply, pw.take());
     }
 
-    // Pass 2: read and ship the blocks in the block wire format (sendv
-    // gathers the chain once).  The plan is grouped by file, so one Reader
-    // serves consecutive entries.
-    guarded([&] {
-      std::string cur_path;
-      std::unique_ptr<shdf::Reader> reader;
-      for (const auto& p : plan) {
+    // Pass 2: ship each block as one buffer that already is its message:
+    // the status byte, then the wire block read from the file straight into
+    // place (read_wire_block), sent by reference.  A server that fails here
+    // sends its failure in place of each block it has not sent, so every
+    // client still receives the count it was told.  After a failure in pass
+    // 1 the count replies carried it, and no block follows.  The plan is
+    // grouped by file, so one Reader serves consecutive entries.
+    if (failure_) return;
+    std::string cur_path;
+    std::unique_ptr<shdf::Reader> reader;
+    for (const auto& p : plan) {
+      SharedBuffer block;
+      guarded([&] {
         if (p.path != cur_path) {
           reader = std::make_unique<shdf::Reader>(fs_, p.path);
           cur_path = p.path;
         }
-        const mesh::MeshBlock block =
-            roccom::read_block(*reader, p.window, p.pane_id);
-        world_.sendv(p.owner, kTagReadBlock,
-                     roccom::WireBlock::serialize_chain(block, "all"));
-      }
-    });
+        block = roccom::read_wire_block(*reader, p.window, p.pane_id,
+                                        status_.span(), read_pool_,
+                                        read_scratch_);
+      });
+      world_.send(p.owner, kTagReadBlock,
+                  failure_ ? status_ : std::move(block));
+    }
   }
 
   /// The collective list: the union of the pane ids in every server's
@@ -494,6 +501,9 @@ class Server {
   /// Per-dataset name/def/chain storage recycled across all blocks the
   /// background writer streams out.
   roccom::WriteScratch write_scratch_;
+  /// Restart: recycled message storage and encoder scratch.
+  BufferPool read_pool_;
+  roccom::ReadScratch read_scratch_;
 
   /// The first error (null while none); status_ leads every reply.
   std::exception_ptr failure_;

@@ -11,7 +11,8 @@
 /// Block messages (WriteBlock, ReadBlock) carry one block each in the
 /// block wire format (roccom/block_wire.h), so the server can buffer,
 /// spill, and probe for new requests *between* blocks — the granularity
-/// active buffering needs (paper §6.1).
+/// active buffering needs (paper §6.1).  A ReadBlock puts its server's
+/// status byte in front of the block.
 ///
 /// Sync, restart read and list are collective: each client sends one
 /// Collective request naming its kind, and its server answers all its
@@ -20,7 +21,11 @@
 /// kStatusFailed, the error's class byte and its message, which
 /// check_status() rethrows on the client as that class.  A restart read or
 /// list also puts the status in front of each inter-server allgather
-/// payload, so that every server answers with the first failure.
+/// payload, so that every server answers with the first failure.  A read's
+/// reply announces how many ReadBlock messages follow; each carries a
+/// status too, and a server that fails while reading its blocks sends its
+/// failure in place of each block it has not sent, so every client
+/// receives the number of messages it was told.
 
 #include <cstdint>
 #include <exception>
@@ -39,7 +44,8 @@ inline constexpr int kTagCollective = 104;  ///< client -> server, request
 /// server -> client, status + result: nothing (sync), the u32 count of
 /// ReadBlock messages that follow (read), i32 pane ids (list).
 inline constexpr int kTagCollectiveReply = 105;
-inline constexpr int kTagReadBlock = 106;   ///< server -> client, wire block
+/// server -> client, status + wire block (the status alone on failure).
+inline constexpr int kTagReadBlock = 106;
 inline constexpr int kTagShutdown = 107;    ///< client -> server, empty
 
 /// Header announcing one collective write request from one client.

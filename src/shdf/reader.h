@@ -22,6 +22,8 @@ class Reader {
 
   [[nodiscard]] size_t dataset_count() const { return infos_.size(); }
   [[nodiscard]] DirectoryKind directory_kind() const { return kind_; }
+  /// Size of the file when it was opened.
+  [[nodiscard]] uint64_t file_size() const { return file_size_; }
 
   /// Dataset names in directory order.
   [[nodiscard]] std::vector<std::string> dataset_names() const;
@@ -40,6 +42,15 @@ class Reader {
   /// Reads and checksum-verifies the payload bytes.
   [[nodiscard]] std::vector<unsigned char> read_raw(
       const std::string& name) const;
+
+  /// Reads the payload of `i`, one of this reader's infos, straight into
+  /// `dst` (`i.data_bytes` of room) and verifies its checksum there.
+  /// Throws FormatError if the payload lies past the end of the file or
+  /// fails its checksum.
+  void read_payload(const DatasetInfo& i, void* dst) const {
+    check_extent(i, file_size_);
+    read_into(i, dst);
+  }
 
   /// Typed read; throws FormatError if the stored element type mismatches T.
   /// The payload is read straight into the returned vector, with no staging

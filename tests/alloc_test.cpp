@@ -1,8 +1,8 @@
 /// \file alloc_test.cpp
 /// \brief The operator new/delete interposer (src/check/alloc_hook):
 /// exact per-thread counts, exempt-vs-charged accounting, and the
-/// zero-allocation steady states of the three hot pipelines (client marshal, rank-to-rank ship, server
-/// pass-through write) on a 48^3 fluid block -- the runtime face of
+/// zero-allocation steady states of the hot pipelines (client marshal, rank-to-rank ship, server
+/// pass-through write, server restart read) on a 48^3 fluid block -- the runtime face of
 /// rocanalyze R8.  Built only under ROCPIO_CHECK (tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include "mesh/generators.h"
 #include "mesh/mesh_block.h"
 #include "roccom/block_wire.h"
+#include "roccom/blockio.h"
+#include "shdf/reader.h"
 #include "shdf/writer.h"
 #include "util/buffer.h"
 #include "util/hot.h"
@@ -160,6 +162,37 @@ TEST(ZeroAllocPipeline, PassThroughWriteSteadyStateIsSilent) {
   const uint64_t c0 = check::thread_charged_allocs();
   view.write_to(w, "wa1", 0.0, &scratch);
   view.write_to(w, "wa2", 0.0, &scratch);
+  const uint64_t charged = check::thread_charged_allocs() - c0;
+  EXPECT_EQ(charged, 0u);
+}
+
+TEST(ZeroAllocPipeline, StoredBlockToWireBufferIsSilent) {
+  // The restarting server's steady state: a stored block becomes its
+  // pooled wire message, read from the file straight into place behind
+  // the status byte.
+  const auto b = fluid_block(48);
+  const std::vector<std::string> windows = {"wa0", "wa1", "wa2"};
+  vfs::MemFileSystem fs;
+  {
+    shdf::Writer w(fs, "f");
+    for (const std::string& window : windows)
+      roccom::write_block(w, window, b, "all", 0.0);
+  }
+  const shdf::Reader r(fs, "f");
+  const unsigned char status = 0;
+  BufferPool pool;
+  roccom::ReadScratch scratch;
+  {  // warm
+    auto wire = roccom::read_wire_block(r, windows[0], b.id(), {&status, 1},
+                                        pool, scratch);
+    escape(wire.data());
+  }
+  const uint64_t c0 = check::thread_charged_allocs();
+  for (size_t i = 1; i < windows.size(); ++i) {
+    auto wire = roccom::read_wire_block(r, windows[i], b.id(), {&status, 1},
+                                        pool, scratch);
+    escape(wire.data());
+  }
   const uint64_t charged = check::thread_charged_allocs() - c0;
   EXPECT_EQ(charged, 0u);
 }

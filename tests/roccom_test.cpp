@@ -516,5 +516,35 @@ TEST(BlockWire, DecoderRejectsArraysThatDoNotFitTheBlock) {
   }
 }
 
+TEST(BlockWire, StoredBlockEncoderRejectsWhatReadBlockRejects) {
+  vfs::MemFileSystem fs;
+  {
+    shdf::Writer w(fs, "f.shdf");
+    write_block(w, "fluid", make_fluid_block(1), "all", 0.0);
+    // A structured coords dataset without its node_dims attribute.
+    w.add("fluid/block_000002/coords", std::vector<double>(24, 0.0),
+          {{"kind", int64_t{0}}, {"pane_id", int64_t{2}}, {"time", 0.0}},
+          {8, 3});
+  }
+  // One payload byte of block 1's pressure field, flipped.
+  {
+    const uint64_t at = shdf::Reader(fs, "f.shdf")
+                            .info("fluid/block_000001/field:pressure")
+                            .data_offset;
+    auto f = fs.open("f.shdf", vfs::OpenMode::kReadWrite);
+    f->seek(at);
+    f->write("x", 1);
+  }
+  const shdf::Reader r(fs, "f.shdf");
+  BufferPool pool;
+  ReadScratch scratch;
+  for (const int id : {1, 2, 3}) {
+    EXPECT_THROW((void)read_block(r, "fluid", id), Error) << id;
+    EXPECT_THROW(
+        (void)read_wire_block(r, "fluid", id, {}, pool, scratch), FormatError)
+        << id;
+  }
+}
+
 }  // namespace
 }  // namespace roc::roccom

@@ -3,8 +3,8 @@
 /// exception from the client's next call, never as a hang: file-system
 /// failures under every buffering mode on both substrates, clients that
 /// disagree on a collective (whose failed server leaves its file
-/// uncommitted), and a restart where one of two servers cannot read its
-/// file.
+/// uncommitted), a restart where one of two servers cannot read its
+/// file, and one where a server finds a corrupt block after announcing it.
 
 #include <gtest/gtest.h>
 
@@ -276,6 +276,73 @@ TEST_P(UnreadableServerFile, EveryClientOfEveryServerThrows) {
 INSTANTIATE_TEST_SUITE_P(Restart, UnreadableServerFile, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "ListPanes" : "FetchBlocks";
+                         });
+
+// --- a restart read that fails after the block counts went out --------------
+
+/// Flips one byte of dataset `name`'s payload in `path`.
+void flip_payload_byte(vfs::MemFileSystem& mem, const std::string& path,
+                       const std::string& name) {
+  const uint64_t at = shdf::Reader(mem, path).info(name).data_offset;
+  auto f = mem.open(path, vfs::OpenMode::kReadWrite);
+  unsigned char byte = 0;
+  f->seek(at);
+  f->read(&byte, 1);
+  byte ^= 0xff;
+  f->seek(at);
+  f->write(&byte, 1);
+}
+
+class CorruptBlockOnRestart : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CorruptBlockOnRestart, ReachesEveryClientOwedABlock) {
+  // Two servers, two clients with two panes each: client c writes panes c
+  // and c + 2 to file snap_s000c.  One payload byte of pane 1 is flipped.
+  // On restart client 0 asks for panes 0 and 1 and client 1 for panes 2
+  // and 3, so the second server owes each client one block, and its first
+  // read fails its checksum after the block counts went out.  It sends its
+  // failure in place of both blocks.  Before it did, both clients waited
+  // forever for blocks that never came.
+  const bool on_sim = GetParam();
+  Deployment d;
+  d.on_sim = on_sim;
+  d.nservers = 2;
+  vfs::MemFileSystem mem;
+  run(d, mem, [](RocpandaClient& client, int me) {
+    OnePane a(me), b(me + 2);
+    client.write_attribute(a.com, IoRequest{"w", "all", "snap", 0.0});
+    client.write_attribute(b.com, IoRequest{"w", "all", "snap", 0.0});
+    client.sync();
+  });
+  // The simulator writes the paper platform's kLinear files.
+  EXPECT_EQ(shdf::Reader(mem, "snap_s0001.shdf").directory_kind(),
+            on_sim ? shdf::DirectoryKind::kLinear
+                   : shdf::DirectoryKind::kIndexed);
+  flip_payload_byte(mem, "snap_s0001.shdf", "w/block_000001/field:pressure");
+
+  std::atomic<int> failures{0};
+  EXPECT_THROW(run(d, mem,
+                   [&](RocpandaClient& client, int me) {
+                     // One client fetches, the other reads into its panes.
+                     OnePane a(2 * me), b(2 * me + 1);
+                     b.com.window("w").register_pane(2 * me, &a.block);
+                     try {
+                       if (me == 0)
+                         (void)client.fetch_blocks("snap", {0, 1});
+                       else
+                         client.read_attribute(
+                             b.com, IoRequest{"w", "all", "snap", 0.0});
+                     } catch (const FormatError&) {
+                       ++failures;
+                     }
+                   }),
+               FormatError);
+  EXPECT_EQ(failures, d.nclients);
+}
+
+INSTANTIATE_TEST_SUITE_P(Substrates, CorruptBlockOnRestart, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Sim" : "Threads";
                          });
 
 }  // namespace

@@ -8,15 +8,20 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <numeric>
 
 #include "comm/thread_comm.h"
 #include "mesh/generators.h"
+#include "roccom/block_wire.h"
 #include "roccom/blockio.h"
 #include "rocpanda/client.h"
 #include "rocpanda/layout.h"
 #include "rocpanda/server.h"
+#include "rocpanda/wire.h"
 #include "shdf/reader.h"
+#include "shdf/writer.h"
+#include "util/serialize.h"
 #include "vfs/vfs.h"
 
 namespace roc::rocpanda {
@@ -274,6 +279,99 @@ TEST(Rocpanda, MissingBlockOnRestartThrows) {
                                 IoError);
                  });
 }
+
+// --- restart wire bytes --------------------------------------------------------
+
+class RestartBlockBytes : public ::testing::TestWithParam<shdf::DirectoryKind> {
+};
+
+TEST_P(RestartBlockBytes, EqualTheMarshalledStoredBlockBehindTheStatus) {
+  // One server file holds every shape a restart ships: a structured and an
+  // unstructured block, a block without fields, a zero-value field and
+  // several fields whose directory order is not their insertion order
+  // under kIndexed.  The second half is appended, so a dead directory lies
+  // between the records.
+  mesh::LabScaleSpec spec;
+  spec.fluid_blocks = 1;
+  spec.solid_blocks = 1;
+  spec.base_block_nodes = 4;
+  const mesh::MeshBlock tets = mesh::make_lab_scale_rocket(spec).solid[0];
+  mesh::MeshBlock solid = mesh::MeshBlock::unstructured(
+      4, tets.node_count(), tets.connectivity());
+  solid.coords() = tets.coords();
+  solid.fields() = tets.fields();
+  const mesh::MeshBlock fluid = make_block(1);
+  const mesh::MeshBlock bare = mesh::MeshBlock::structured(2, {3, 2, 4});
+  mesh::MeshBlock many = make_block(3);
+  many.add_field("zeta", mesh::Centering::kElement, 2)
+      .data.assign(2 * many.element_count(), 0.5);
+  many.fields().push_back(mesh::Field{"empty", mesh::Centering::kNode, 3, {}});
+  many.add_field("alpha", mesh::Centering::kNode, 1).data.assign(
+      many.node_count(), -1.0);
+  vfs::MemFileSystem fs;
+  {
+    shdf::Writer w(fs, "snap_s0000.shdf", GetParam());
+    roccom::write_block(w, "fluid", fluid, "all", 0.5);
+    roccom::write_block(w, "bare", bare, "all", 1.0);
+  }
+  {
+    shdf::Writer w = shdf::Writer::append(fs, "snap_s0000.shdf");
+    roccom::write_block(w, "solid", solid, "all", 1.5);
+    roccom::write_block(w, "fluid", many, "all", 2.0);
+  }
+  // What the server sent before it read blocks into wire buffers: the
+  // marshalled MeshBlock that read_block rebuilds.
+  std::map<int32_t, std::vector<unsigned char>> want;
+  {
+    const shdf::Reader r(fs, "snap_s0000.shdf");
+    for (const auto& b : roccom::blocks_in_file(r))
+      want[b.pane_id] = roccom::WireBlock::serialize_chain(
+                            roccom::read_block(r, b.window, b.pane_id), "all")
+                            .to_vector();
+  }
+  ASSERT_EQ(want.size(), 4u);
+
+  // A raw client asks for every pane and keeps the server's messages.
+  std::map<int32_t, std::vector<unsigned char>> got;
+  comm::World::run(2, [&](comm::Comm& world) {
+    comm::RealEnv env;
+    const Layout layout(world.size(), 1);
+    auto local = world.split(layout.is_server(world.rank()) ? 1 : 0,
+                             world.rank());
+    if (layout.is_server(world.rank())) {
+      (void)run_server(world, *local, env, fs, layout, ServerOptions{});
+      return;
+    }
+    std::vector<int32_t> ids;
+    for (const auto& [id, bytes] : want) ids.push_back(id);
+    const int server = layout.server_of_client(world.rank());
+    world.send(server, kTagCollective,
+               CollectiveRequest{Collective::kRead, "snap", "", ids}
+                   .serialize());
+    auto reply = world.recv(server, kTagCollectiveReply);
+    ByteReader rr(reply.payload.data(), reply.payload.size());
+    check_status(rr);
+    for (auto n = rr.get<uint32_t>(); n > 0; --n) {
+      auto msg = world.recv(server, kTagReadBlock);
+      ByteReader br(msg.payload.data(), msg.payload.size());
+      check_status(br);
+      const int32_t id = br.get<int32_t>();
+      got[id].assign(msg.payload.data() + 1,
+                     msg.payload.data() + msg.payload.size());
+    }
+    world.signal(server, kTagShutdown);
+  });
+  EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DirectoryKinds, RestartBlockBytes,
+    ::testing::Values(shdf::DirectoryKind::kIndexed,
+                      shdf::DirectoryKind::kLinear),
+    [](const ::testing::TestParamInfo<shdf::DirectoryKind>& info) {
+      return info.param == shdf::DirectoryKind::kIndexed ? "Indexed"
+                                                         : "Linear";
+    });
 
 TEST(Rocpanda, SnapshotExcludesFilesOfALongerBasename) {
   // "state_post" starts with "state_": its files must not join snapshot

@@ -5,6 +5,7 @@
 /// that records every write handle's open and close and can hold writes
 /// until the test lets them through.
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,9 +43,15 @@ class CrashingFileSystem final : public vfs::FileSystem {
     step();
     return base_.list(prefix);
   }
+  [[nodiscard]] bool models_paper_platform() const override {
+    return base_.models_paper_platform();
+  }
 
-  uint64_t ops = 0;     ///< Calls so far, including the failed ones.
-  uint64_t writes = 0;  ///< writev calls so far, including the failed ones.
+  // Atomic: the server threads of a ThreadComm deployment share them.
+  /// Calls so far, including the failed ones.
+  std::atomic<uint64_t> ops{0};
+  /// writev calls so far, including the failed ones.
+  std::atomic<uint64_t> writes{0};
   uint64_t crash_at = UINT64_MAX;
   uint64_t fail_once_at = UINT64_MAX;
 
